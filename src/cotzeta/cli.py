@@ -9,18 +9,19 @@ keys are sorted.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
+import functools
 import json
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 import click
-import mpmath as mp
 
-from . import estermann, exact, recip, specfn, sums
+from . import estermann, exact, recip, sums
 from .errors import CotZetaError
 from .reports import VerifyResult
 from .specfn import ComplexVal, PrecisionConfig
@@ -48,31 +49,44 @@ class RunManifest:
         return self.precision.working_digits - 2
 
 
-def _parse_complex(text: str):
-    try:
-        return complex(text.replace(" ", "").replace("i", "j"))
-    except ValueError:
-        raise click.UsageError(f"cannot parse complex number {text!r}")
+def _complex(text: str) -> complex:
+    return complex(text.replace(" ", "").replace("i", "j"))
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split(",") if t != ""]
-    except ValueError:
-        raise click.UsageError(f"cannot parse integer list {text!r}")
+_TEXT_KEY = "cotzeta.option_text"
+
+
+class ParsedText(click.ParamType):
+    """An option parsed from its text.  The text itself is kept in
+    ``ctx.meta`` so that a manifest echoes what was typed, not the parse."""
+
+    name = "text"  # the metavar shown by --help
+
+    def __init__(self, parse, what: str):
+        self.parse = parse
+        self.what = what
+
+    def convert(self, value, param, ctx):
+        if not isinstance(value, str):
+            return value
+        try:
+            parsed = self.parse(value)
+        except ValueError:
+            self.fail(f"cannot parse {self.what} {value!r}", param, ctx)
+        if ctx is not None:
+            ctx.meta.setdefault(_TEXT_KEY, {})[param.name] = value
+        return parsed
+
+
+COMPLEX = ParsedText(_complex, "complex number")
+COMPLEX_LIST = ParsedText(lambda t: [_complex(s) for s in t.split(",")],
+                          "complex number list")
+INT_LIST = ParsedText(lambda t: [int(s) for s in t.split(",") if s != ""],
+                      "integer list")
 
 
 def _fraction_json(f: Fraction) -> dict:
     return {"num": str(f.numerator), "den": str(f.denominator)}
-
-
-def _complex_json(val, manifest: RunManifest) -> dict:
-    if isinstance(val, ComplexVal):
-        return val.to_json(manifest.digits())
-    with mp.workdps(40):
-        c = mp.mpc(val)
-        return {"re": mp.nstr(c.real, manifest.digits()),
-                "im": mp.nstr(c.imag, manifest.digits())}
 
 
 def _manifest_echo(manifest: RunManifest) -> dict:
@@ -94,31 +108,26 @@ def _manifest_echo(manifest: RunManifest) -> dict:
     }
 
 
+@contextlib.contextmanager
 def _open_out(manifest: RunManifest):
     if manifest.out is None:
-        return sys.stdout, False
-    import os
+        yield sys.stdout
+        return
     if os.path.exists(manifest.out) and not manifest.force:
         raise click.ClickException(
             f"refusing to overwrite {manifest.out!r} without --force")
-    return open(manifest.out, "w"), True
+    with open(manifest.out, "w") as stream:
+        yield stream
 
 
 def _emit(manifest: RunManifest, payload: dict):
     doc = {"manifest": _manifest_echo(manifest), **payload}
-    stream, close = _open_out(manifest)
-    try:
+    with _open_out(manifest) as stream:
         if manifest.output_format == "text":
             for key, value in payload.items():
                 stream.write(f"{key}: {json.dumps(value, sort_keys=True)}\n")
         else:
             stream.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    finally:
-        if close:
-            stream.close()
-
-
-pass_manifest = click.make_pass_decorator(RunManifest)
 
 
 @click.group()
@@ -130,7 +139,7 @@ pass_manifest = click.make_pass_decorator(RunManifest)
               help="Target absolute error for vertical-line quadrature.")
 @click.option("--quad-height", type=float, default=0.0, show_default=True,
               help="Truncation height T for line integrals (0 = automatic).")
-@click.option("--quad-rule", type=click.Choice(["gauss_legendre", "gauss_legendre_n", "adaptive_simpson"]),
+@click.option("--quad-rule", type=click.Choice(["gauss_legendre", "adaptive_simpson"]),
               default="gauss_legendre", show_default=True)
 @click.option("--epsilon", type=float, default=0.0, show_default=True,
               help="Abscissa of cotangent-product lines (0 = automatic).")
@@ -153,19 +162,39 @@ def main(ctx, precision_digits, target_err, quad_target_err, quad_height,
                           budget_override)
 
 
-def _run_guarded(fn):
-    """Convert domain errors into exit code 2 with a readable message."""
-    import functools
+def _opt(decl: str, type=int, default=None, **kwargs):
+    """A subcommand option: required when it has no default, else showing it."""
+    if default is None:
+        return click.option(decl, type=type, required=True, **kwargs)
+    return click.option(decl, type=type, default=default, show_default=True, **kwargs)
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (CotZetaError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
 
-    return wrapper
+def _command(group: click.Group, name: str, *options):
+    """Register ``fn(manifest, **params)`` as ``group name`` with ``options``.
+
+    The manifest records the command and its parameters as typed; --p/--q
+    arrive as the twist ``x = RationalArg(p, q)``; domain errors exit with
+    code 2 and a readable message.
+    """
+    def register(fn):
+        @click.pass_context
+        def callback(ctx, **params):
+            manifest = ctx.find_object(RunManifest)
+            manifest.command = f"{group.name}.{name}"
+            manifest.params = {**params, **ctx.meta.get(_TEXT_KEY, {})}
+            try:
+                if "q" in params:
+                    params["x"] = RationalArg(params.pop("p"), params.pop("q"))
+                return fn(manifest, **params)
+            except (CotZetaError, ValueError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_USAGE)
+
+        for option in reversed(options):
+            callback = option(callback)
+        return group.command(name)(callback)
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -177,149 +206,86 @@ def compute():
     """Compute a single quantity and print it with config provenance."""
 
 
-@compute.command("bernoulli")
-@click.option("--n", type=int, required=True)
-@click.option("--convention", type=click.Choice(["standard", "zeroed"]),
-              default="standard", show_default=True)
-@pass_manifest
-@_run_guarded
+@_command(compute, "bernoulli", _opt("--n"),
+          _opt("--convention", click.Choice(["standard", "zeroed"]), "standard"))
 def compute_bernoulli(manifest, n, convention):
-    manifest.command = "compute.bernoulli"
-    manifest.params = {"n": n, "convention": convention}
-    value = exact.bernoulli_number(n, convention)
-    _emit(manifest, {"value": _fraction_json(value)})
+    _emit(manifest, {"value": _fraction_json(exact.bernoulli_number(n, convention))})
 
 
-@compute.command("dedekind")
-@click.option("--h", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@pass_manifest
-@_run_guarded
+@_command(compute, "dedekind", _opt("--h"), _opt("--k"))
 def compute_dedekind(manifest, h, k):
-    manifest.command = "compute.dedekind"
-    manifest.params = {"h": h, "k": k}
     _emit(manifest, {"value": _fraction_json(exact.dedekind_sum(h, k))})
 
 
-@compute.command("apostol")
-@click.option("--n", type=int, required=True)
-@click.option("--h", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@pass_manifest
-@_run_guarded
+@_command(compute, "apostol", _opt("--n"), _opt("--h"), _opt("--k"))
 def compute_apostol(manifest, n, h, k):
-    manifest.command = "compute.apostol"
-    manifest.params = {"n": n, "h": h, "k": k}
     _emit(manifest, {"value": _fraction_json(exact.apostol_sum(n, h, k))})
 
 
-@compute.command("bc-sum")
-@click.option("--a", type=str, required=True, help="Order a (complex allowed).")
-@click.option("--h", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@pass_manifest
-@_run_guarded
+@_command(compute, "bc-sum", _opt("--a", COMPLEX, help="Order a (complex allowed)."),
+          _opt("--h"), _opt("--k"))
 def compute_bc_sum(manifest, a, h, k):
-    manifest.command = "compute.bc-sum"
-    manifest.params = {"a": a, "h": h, "k": k}
-    val = sums.bc_sum(_parse_complex(a), h, k, manifest.precision)
-    _emit(manifest, {"value": _complex_json(val, manifest)})
+    val = sums.bc_sum(a, h, k, manifest.precision)
+    _emit(manifest, {"value": val.to_json(manifest.digits())})
 
 
-@compute.command("bc-sum-general")
-@click.option("--a", type=str, required=True)
-@click.option("--k0", type=int, required=True)
-@click.option("--ks", type=str, required=True, help="Comma-separated inner moduli.")
-@click.option("--ms", type=str, required=True,
-              help="Comma-separated derivative orders, zeta order first.")
-@pass_manifest
-@_run_guarded
+@_command(compute, "bc-sum-general", _opt("--a", COMPLEX), _opt("--k0"),
+          _opt("--ks", INT_LIST, help="Comma-separated inner moduli."),
+          _opt("--ms", INT_LIST,
+               help="Comma-separated derivative orders, zeta order first."))
 def compute_bc_sum_general(manifest, a, k0, ks, ms):
-    manifest.command = "compute.bc-sum-general"
-    manifest.params = {"a": a, "k0": k0, "ks": ks, "ms": ms}
-    spec = sums.BCSumSpec(_parse_complex(a), k0,
-                          tuple(_parse_int_list(ks)), tuple(_parse_int_list(ms)))
+    spec = sums.BCSumSpec(a, k0, tuple(ks), tuple(ms))
     val = sums.bc_sum_general(spec, manifest.precision)
-    _emit(manifest, {"spec": spec.to_json(), "value": _complex_json(val, manifest)})
+    _emit(manifest, {"spec": spec.to_json(), "value": val.to_json(manifest.digits())})
 
 
-@compute.command("psi-poly")
-@click.option("--n", type=int, required=True)
-@pass_manifest
-@_run_guarded
+@_command(compute, "psi-poly", _opt("--n"))
 def compute_psi_poly(manifest, n):
-    manifest.command = "compute.psi-poly"
-    manifest.params = {"n": n}
     _emit(manifest, {"polynomial": exact.psi_polynomial(n).to_json()})
 
 
-@compute.command("g-poly")
-@click.option("--n", type=int, required=True)
-@pass_manifest
-@_run_guarded
+@_command(compute, "g-poly", _opt("--n"))
 def compute_g_poly(manifest, n):
-    manifest.command = "compute.g-poly"
-    manifest.params = {"n": n}
     _emit(manifest, {"polynomial": exact.g_polynomial(n).to_json()})
 
 
-@compute.command("line-integral")
-@click.option("--a", type=str, required=True)
-@click.option("--h", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@pass_manifest
-@_run_guarded
+@_command(compute, "line-integral", _opt("--a", COMPLEX), _opt("--h"), _opt("--k"))
 def compute_line_integral(manifest, a, h, k):
-    manifest.command = "compute.line-integral"
-    manifest.params = {"a": a, "h": h, "k": k}
-    val = recip.line_integral_cotcot(_parse_complex(a), h, k,
-                                     manifest.quad, manifest.precision)
-    _emit(manifest, {"value": _complex_json(val, manifest)})
+    val = recip.line_integral_cotcot(a, h, k, manifest.quad, manifest.precision)
+    _emit(manifest, {"value": val.to_json(manifest.digits())})
 
 
-@compute.command("estermann")
-@click.option("--regime", type=click.Choice(["nonpositive", "series", "hurwitz"]),
-              default="nonpositive", show_default=True)
-@click.option("--k", type=int, default=None, help="Nonpositive regime: s = -k.")
-@click.option("--a", type=str, required=True)
-@click.option("--s", type=str, default=None, help="series/hurwitz regime order s.")
-@click.option("--p", type=int, required=True)
-@click.option("--q", type=int, required=True)
-@click.option("--route", type=click.Choice(["primary", "dual"]), default="primary",
-              show_default=True)
-@pass_manifest
-@_run_guarded
-def compute_estermann(manifest, regime, k, a, s, p, q, route):
-    manifest.command = "compute.estermann"
-    manifest.params = {"regime": regime, "k": k, "a": a, "s": s,
-                       "p": p, "q": q, "route": route}
-    x = RationalArg(p, q)
+@_command(compute, "estermann",
+          _opt("--regime", click.Choice(["nonpositive", "series", "hurwitz"]),
+               "nonpositive"),
+          click.option("--k", type=int, default=None, help="Nonpositive regime: s = -k."),
+          _opt("--a", COMPLEX),
+          click.option("--s", type=COMPLEX, default=None,
+                       help="series/hurwitz regime order s."),
+          _opt("--p"), _opt("--q"),
+          _opt("--route", click.Choice(["primary", "dual"]), "primary"))
+def compute_estermann(manifest, regime, k, a, s, x, route):
     if regime == "nonpositive":
         if k is None:
             raise click.UsageError("nonpositive regime needs --k")
-        val = estermann.estermann_nonpositive(k, x, int(a), manifest.precision, route)
+        if a.imag or a.real != int(a.real):
+            raise click.UsageError("nonpositive regime needs an integer --a")
+        val = estermann.estermann_nonpositive(k, x, int(a.real), manifest.precision, route)
     else:
         if s is None:
             raise click.UsageError(f"{regime} regime needs --s")
-        pt = estermann.EstermannPoint(_parse_complex(s), x, _parse_complex(a))
         fn = (estermann.estermann_series if regime == "series"
               else estermann.estermann_hurwitz)
-        val = fn(pt, manifest.precision)
-    _emit(manifest, {"value": _complex_json(val, manifest)})
+        val = fn(estermann.EstermannPoint(s, x, a), manifest.precision)
+    _emit(manifest, {"value": val.to_json(manifest.digits())})
 
 
-@compute.command("cotangent-sum-C")
-@click.option("--a", type=int, required=True)
-@click.option("--deriv-order", "--k", "deriv_order", type=int, required=True)
-@click.option("--p", type=int, required=True)
-@click.option("--q", type=int, required=True)
-@pass_manifest
-@_run_guarded
-def compute_cotangent_sum(manifest, a, deriv_order, p, q):
-    manifest.command = "compute.cotangent-sum-C"
-    manifest.params = {"a": a, "k": deriv_order, "p": p, "q": q}
-    val = sums.cotangent_sum_C(a, deriv_order, RationalArg(p, q), manifest.precision)
-    _emit(manifest, {"value": _complex_json(val, manifest)})
+@_command(compute, "cotangent-sum-C", _opt("--a"),
+          click.option("--deriv-order", "--k", "k", type=int, required=True),
+          _opt("--p"), _opt("--q"))
+def compute_cotangent_sum(manifest, a, k, x):
+    val = sums.cotangent_sum_C(a, k, x, manifest.precision)
+    _emit(manifest, {"value": val.to_json(manifest.digits())})
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +299,12 @@ def _coprime_pairs(limit: int):
                 yield h, k
 
 
-def _stream_reports(manifest: RunManifest, theorem: str, results) -> None:
-    """Print one report per parameter tuple; exit 1 if any residual exceeds
-    its budget (or the --budget override)."""
-    manifest.command = f"verify.{theorem}"
-    stream, close = _open_out(manifest)
+def _stream_reports(rows, manifest: RunManifest, **params) -> None:
+    """Print one report per parameter tuple of ``rows(manifest, **params)``;
+    exit 1 if any residual exceeds its budget (or the --budget override)."""
+    results = rows(manifest, **params)
     all_pass = True
-    try:
+    with _open_out(manifest) as stream:
         writer = None
         for res in results:
             ok = res.passes(manifest.budget_override)
@@ -366,10 +331,87 @@ def _stream_reports(manifest: RunManifest, theorem: str, results) -> None:
                     f"budget={doc['budget']}\n")
             else:
                 stream.write(json.dumps(doc, sort_keys=True) + "\n")
-    finally:
-        if close:
-            stream.close()
     sys.exit(0 if all_pass else EXIT_VERIFY_FAIL)
+
+
+def _thm13_report(n: int, h: int, k: int) -> VerifyResult:
+    """The exact odd-order law as a report.  An exact zero residual reports
+    zero on both sides; otherwise rhs is the closed form and lhs = rhs +
+    residual."""
+    params = {"n": n, "h": h, "k": k}
+    residual = exact.verify_thm13(n, h, k)
+    if residual.is_zero():
+        zero = ComplexVal(0, 0)
+        return VerifyResult("thm13", params, zero, zero, zero, 0.0,
+                            details={"exact_zero": True})
+    rhs = ComplexVal.from_exact(exact.thm13_rhs(n, h, k))
+    res = ComplexVal.from_exact(residual)
+    return VerifyResult("thm13", params, rhs + res, rhs, res, 0.0,
+                        details={"exact_zero": False})
+
+
+def _thm13_rows(_manifest, n, hk_max, h, k):
+    if hk_max is None and (h is None or k is None):
+        raise click.UsageError("need either --hk-max or both --h and --k")
+    pairs = list(_coprime_pairs(hk_max)) if hk_max else [(h, k)]
+    return (_thm13_report(nn, hh, kk) for nn in n for hh, kk in pairs)
+
+
+def _once(verifier, *args):
+    yield verifier(*args)
+
+
+_H, _K = _opt("--h"), _opt("--k")
+_KS, _MS = _opt("--ks", INT_LIST), _opt("--ms", INT_LIST)
+_TWIST = (_opt("--p", default=1), _opt("--q"))
+
+# Each identity code of `czeta verify`: its options and a function of
+# (manifest, **options) returning its reports lazily, so no report is
+# computed before the output is open.
+VERIFY = {
+    "thm13": ((_opt("--n", INT_LIST, "3,5,7,9"), click.option("--hk-max", type=int),
+               click.option("--h", type=int), click.option("--k", type=int)),
+              _thm13_rows),
+    "dedekind-recip": ((_opt("--hk-max", default=50),),
+                       lambda m, hk_max: (recip.verify_dedekind_recip(h, k)
+                                          for h, k in _coprime_pairs(hk_max))),
+    "thm12": ((_opt("--a", COMPLEX_LIST, help="Comma-separated orders."), _H, _K),
+              lambda m, a, h, k: (recip.verify_thm12(av, h, k, m.quad, m.precision)
+                                  for av in a)),
+    "thm11": ((_opt("--a", COMPLEX), _H, _K,
+               _opt("--psi-route", click.Choice(["auto", "polynomial", "numeric"]), "auto")),
+              lambda m, a, h, k, psi_route: _once(recip.verify_thm11, a, h, k, m.quad,
+                                                  m.precision, psi_route)),
+    "thm14-cross": ((_opt("--n", INT_LIST, "3,5"), _opt("--z", COMPLEX, "1")),
+                    lambda m, n, z: (recip.verify_thm14_cross(nn, z, None, m.quad,
+                                                              m.precision) for nn in n)),
+    "cor23": ((_opt("--n", INT_LIST, "3"), _H, _K),
+              lambda m, n, h, k: (recip.verify_cor23(nn, h, k, m.quad, m.precision)
+                                  for nn in n)),
+    "thm31": ((_opt("--a", COMPLEX), _KS, _MS),
+              lambda m, a, ks, ms: _once(recip.verify_thm31, a, ks, ms, m.quad,
+                                         m.precision)),
+    "thm32": ((_opt("--n"), _KS, _MS),
+              lambda m, n, ks, ms: _once(recip.verify_thm32, n, ks, ms, m.precision)),
+    "cor33": ((_opt("--n"), _KS, _MS),
+              lambda m, n, ks, ms: _once(recip.verify_cor33, n, ks, ms, m.quad,
+                                         m.precision)),
+    "prop43": ((_opt("--s"), _opt("--a"), *_TWIST),
+               lambda m, s, a, x: _once(estermann.verify_prop43, s, x, a, m.precision)),
+    "thm44": ((_opt("--k"), _opt("--a"), *_TWIST),
+              lambda m, k, a, x: _once(estermann.verify_thm44, k, x, a, m.precision)),
+    "cor45": ((_opt("--a"), _opt("--k"), *_TWIST),
+              lambda m, a, k, x: _once(estermann.verify_cor45, a, k, x, m.precision)),
+    "lemma41": ((_opt("--k", INT_LIST, "1,2,3,4,5,6"), *_TWIST),
+                lambda m, k, x: (estermann.verify_lemma41(kk, x, m.precision)
+                                 for kk in k)),
+    "lemma42": ((_opt("--s", COMPLEX), _opt("--z", float), _opt("--n"), *_TWIST),
+                lambda m, s, z, n, x: _once(estermann.verify_lemma42, s, z, n, x,
+                                            m.precision)),
+    "eisenstein-period": ((_opt("--n", INT_LIST, "3,5"), _opt("--z", COMPLEX, "1j")),
+                          lambda m, n, z: (recip.verify_eisenstein_period(nn, z, m.precision)
+                                           for nn in n)),
+}
 
 
 @main.group()
@@ -377,237 +419,8 @@ def verify():
     """Verify an identity over a parameter sweep; one JSON report per tuple."""
 
 
-@verify.command("thm13")
-@click.option("--n", "n_list", type=str, default="3,5,7,9", show_default=True)
-@click.option("--hk-max", type=int, default=None)
-@click.option("--h", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@pass_manifest
-@_run_guarded
-def verify_thm13_cmd(manifest, n_list, hk_max, h, k):
-    ns = _parse_int_list(n_list)
-    if hk_max is None and (h is None or k is None):
-        raise click.UsageError("need either --hk-max or both --h and --k")
-    pairs = list(_coprime_pairs(hk_max)) if hk_max else [(h, k)]
-
-    def run():
-        for n in ns:
-            for hh, kk in pairs:
-                res = exact.verify_thm13(n, hh, kk)
-                zero = res.is_zero()
-                cv = ComplexVal(0, 0) if zero else ComplexVal.from_exact(res)
-                yield VerifyResult(
-                    "thm13", {"n": n, "h": hh, "k": kk},
-                    ComplexVal.from_exact(exact.thm13_rhs(n, hh, kk))
-                    if not zero else ComplexVal(0, 0),
-                    ComplexVal(0, 0), cv, 0.0,
-                    details={"exact_zero": zero})
-
-    _stream_reports(manifest, "thm13", run())
-
-
-@verify.command("dedekind-recip")
-@click.option("--hk-max", type=int, default=50, show_default=True)
-@pass_manifest
-@_run_guarded
-def verify_dedekind_cmd(manifest, hk_max):
-    def run():
-        for h, k in _coprime_pairs(hk_max):
-            yield recip.verify_dedekind_recip(h, k)
-
-    _stream_reports(manifest, "dedekind-recip", run())
-
-
-@verify.command("thm12")
-@click.option("--a", type=str, required=True, help="Comma-separated orders.")
-@click.option("--h", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@pass_manifest
-@_run_guarded
-def verify_thm12_cmd(manifest, a, h, k):
-    orders = [_parse_complex(t) for t in a.split(",")]
-
-    def run():
-        for av in orders:
-            yield recip.verify_thm12(av, h, k, manifest.quad, manifest.precision)
-
-    _stream_reports(manifest, "thm12", run())
-
-
-@verify.command("thm11")
-@click.option("--a", type=str, required=True)
-@click.option("--h", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--psi-route", type=click.Choice(["auto", "polynomial", "numeric"]),
-              default="auto", show_default=True)
-@pass_manifest
-@_run_guarded
-def verify_thm11_cmd(manifest, a, h, k, psi_route):
-    def run():
-        yield recip.verify_thm11(_parse_complex(a), h, k, manifest.quad,
-                                 manifest.precision, psi_route)
-
-    _stream_reports(manifest, "thm11", run())
-
-
-@verify.command("thm14-cross")
-@click.option("--n", "n_list", type=str, default="3,5", show_default=True)
-@click.option("--z", type=str, default="1", show_default=True)
-@pass_manifest
-@_run_guarded
-def verify_thm14_cmd(manifest, n_list, z):
-    zc = _parse_complex(z)
-
-    def run():
-        for n in _parse_int_list(n_list):
-            yield recip.verify_thm14_cross(n, zc, None, manifest.quad,
-                                           manifest.precision)
-
-    _stream_reports(manifest, "thm14-cross", run())
-
-
-@verify.command("cor23")
-@click.option("--n", "n_list", type=str, default="3", show_default=True)
-@click.option("--h", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@pass_manifest
-@_run_guarded
-def verify_cor23_cmd(manifest, n_list, h, k):
-    def run():
-        for n in _parse_int_list(n_list):
-            yield recip.verify_cor23(n, h, k, manifest.quad, manifest.precision)
-
-    _stream_reports(manifest, "cor23", run())
-
-
-@verify.command("thm31")
-@click.option("--a", type=str, required=True)
-@click.option("--ks", type=str, required=True)
-@click.option("--ms", type=str, required=True)
-@pass_manifest
-@_run_guarded
-def verify_thm31_cmd(manifest, a, ks, ms):
-    def run():
-        yield recip.verify_thm31(_parse_complex(a), _parse_int_list(ks),
-                                 _parse_int_list(ms), manifest.quad,
-                                 manifest.precision)
-
-    _stream_reports(manifest, "thm31", run())
-
-
-@verify.command("thm32")
-@click.option("--n", type=int, required=True)
-@click.option("--ks", type=str, required=True)
-@click.option("--ms", type=str, required=True)
-@pass_manifest
-@_run_guarded
-def verify_thm32_cmd(manifest, n, ks, ms):
-    def run():
-        yield recip.verify_thm32(n, _parse_int_list(ks), _parse_int_list(ms),
-                                 manifest.precision)
-
-    _stream_reports(manifest, "thm32", run())
-
-
-@verify.command("cor33")
-@click.option("--n", type=int, required=True)
-@click.option("--ks", type=str, required=True)
-@click.option("--ms", type=str, required=True)
-@pass_manifest
-@_run_guarded
-def verify_cor33_cmd(manifest, n, ks, ms):
-    def run():
-        yield recip.verify_cor33(n, _parse_int_list(ks), _parse_int_list(ms),
-                                 manifest.quad, manifest.precision)
-
-    _stream_reports(manifest, "cor33", run())
-
-
-@verify.command("prop43")
-@click.option("--s", type=int, required=True)
-@click.option("--a", type=int, required=True)
-@click.option("--p", type=int, default=1, show_default=True)
-@click.option("--q", type=int, required=True)
-@pass_manifest
-@_run_guarded
-def verify_prop43_cmd(manifest, s, a, p, q):
-    def run():
-        yield estermann.verify_prop43(s, RationalArg(p, q), a, manifest.precision)
-
-    _stream_reports(manifest, "prop43", run())
-
-
-@verify.command("thm44")
-@click.option("--k", type=int, required=True)
-@click.option("--a", type=int, required=True)
-@click.option("--p", type=int, default=1, show_default=True)
-@click.option("--q", type=int, required=True)
-@pass_manifest
-@_run_guarded
-def verify_thm44_cmd(manifest, k, a, p, q):
-    def run():
-        yield estermann.verify_thm44(k, RationalArg(p, q), a, manifest.precision)
-
-    _stream_reports(manifest, "thm44", run())
-
-
-@verify.command("cor45")
-@click.option("--a", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--p", type=int, default=1, show_default=True)
-@click.option("--q", type=int, required=True)
-@pass_manifest
-@_run_guarded
-def verify_cor45_cmd(manifest, a, k, p, q):
-    def run():
-        yield estermann.verify_cor45(a, k, RationalArg(p, q), manifest.precision)
-
-    _stream_reports(manifest, "cor45", run())
-
-
-@verify.command("lemma41")
-@click.option("--k", "k_list", type=str, default="1,2,3,4,5,6", show_default=True)
-@click.option("--p", type=int, default=1, show_default=True)
-@click.option("--q", type=int, required=True)
-@pass_manifest
-@_run_guarded
-def verify_lemma41_cmd(manifest, k_list, p, q):
-    def run():
-        for k in _parse_int_list(k_list):
-            yield estermann.verify_lemma41(k, RationalArg(p, q), manifest.precision)
-
-    _stream_reports(manifest, "lemma41", run())
-
-
-@verify.command("lemma42")
-@click.option("--s", type=str, required=True)
-@click.option("--z", type=float, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--p", type=int, default=1, show_default=True)
-@click.option("--q", type=int, required=True)
-@pass_manifest
-@_run_guarded
-def verify_lemma42_cmd(manifest, s, z, n, p, q):
-    def run():
-        yield estermann.verify_lemma42(_parse_complex(s), z, n, RationalArg(p, q),
-                                       manifest.precision)
-
-    _stream_reports(manifest, "lemma42", run())
-
-
-@verify.command("eisenstein-period")
-@click.option("--n", "n_list", type=str, default="3,5", show_default=True)
-@click.option("--z", type=str, default="1j", show_default=True)
-@pass_manifest
-@_run_guarded
-def verify_eisenstein_cmd(manifest, n_list, z):
-    zc = _parse_complex(z)
-
-    def run():
-        for n in _parse_int_list(n_list):
-            yield recip.verify_eisenstein_period(n, zc, manifest.precision)
-
-    _stream_reports(manifest, "eisenstein-period", run())
+for _code, (_options, _rows) in VERIFY.items():
+    _command(verify, _code, *_options)(functools.partial(_stream_reports, _rows))
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +428,7 @@ def verify_eisenstein_cmd(manifest, n_list, z):
 # ---------------------------------------------------------------------------
 
 def _write_table(manifest: RunManifest, rows: list[dict], fieldnames: list[str]):
-    stream, close = _open_out(manifest)
-    try:
+    with _open_out(manifest) as stream:
         if manifest.output_format == "csv" or (
                 manifest.output_format == "text" and manifest.out):
             writer = csv.DictWriter(stream, fieldnames=fieldnames)
@@ -627,9 +439,6 @@ def _write_table(manifest: RunManifest, rows: list[dict], fieldnames: list[str])
             stream.write(json.dumps(
                 {"manifest": _manifest_echo(manifest), "rows": rows},
                 sort_keys=True, indent=2) + "\n")
-    finally:
-        if close:
-            stream.close()
 
 
 @main.group()
@@ -637,20 +446,15 @@ def table():
     """Emit coefficient / value tables over parameter ranges."""
 
 
-@table.command("psi-g")
-@click.option("--n", "n_list", type=str, default="3,5,7", show_default=True)
-@pass_manifest
-@_run_guarded
-def table_psi_g(manifest, n_list):
-    manifest.command = "table.psi-g"
-    manifest.params = {"n": n_list}
+@_command(table, "psi-g", _opt("--n", INT_LIST, "3,5,7"))
+def table_psi_g(manifest, n):
     rows = []
-    for n in _parse_int_list(n_list):
-        for kind, poly in (("psi", exact.psi_polynomial(n)),
-                           ("g", exact.g_polynomial(n))):
+    for nn in n:
+        for kind, poly in (("psi", exact.psi_polynomial(nn)),
+                           ("g", exact.g_polynomial(nn))):
             for e, c in sorted(poly.coefficients.items()):
                 rows.append({
-                    "kind": kind, "n": n, "exponent": e,
+                    "kind": kind, "n": nn, "exponent": e,
                     "num": str(c.coeff.numerator), "den": str(c.coeff.denominator),
                     "pi_pow": c.pi_power, "i_pow": c.i_power,
                     "zeta_weight": poly.zeta_weight,
@@ -660,20 +464,14 @@ def table_psi_g(manifest, n_list):
                   "zeta_weight"])
 
 
-@table.command("thm13-rhs")
-@click.option("--n", "n_list", type=str, default="3,5", show_default=True)
-@click.option("--hk-max", type=int, default=5, show_default=True)
-@pass_manifest
-@_run_guarded
-def table_thm13_rhs(manifest, n_list, hk_max):
-    manifest.command = "table.thm13-rhs"
-    manifest.params = {"n": n_list, "hk_max": hk_max}
+@_command(table, "thm13-rhs", _opt("--n", INT_LIST, "3,5"), _opt("--hk-max", default=5))
+def table_thm13_rhs(manifest, n, hk_max):
     rows = []
-    for n in _parse_int_list(n_list):
+    for nn in n:
         for h, k in _coprime_pairs(hk_max):
-            v = exact.thm13_rhs(n, h, k)
+            v = exact.thm13_rhs(nn, h, k)
             rows.append({
-                "n": n, "h": h, "k": k,
+                "n": nn, "h": h, "k": k,
                 "num": str(v.coeff.numerator), "den": str(v.coeff.denominator),
                 "pi_pow": v.pi_power, "i_pow": v.i_power,
             })

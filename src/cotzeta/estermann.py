@@ -85,9 +85,7 @@ def _zeta_factor(sval, m: int, q: int, cfg: PrecisionConfig) -> ComplexVal:
     """zeta(sval, m/q); at nonpositive integer order uses the exact Bernoulli
     polynomial closed form zeta(-j, x) = -B_{j+1}(x)/(j+1)."""
     if sval.imag == 0 and mp.isint(sval.real) and sval.real <= 0:
-        j = int(-sval.real)
-        v = -exact.poly_eval(exact.bernoulli_polynomial(j + 1), Fraction(m, q)) / (j + 1)
-        fv = mp.mpf(v.numerator) / v.denominator
+        fv = specfn._real_mpf(exact.zeta_neg_int(int(-sval.real), Fraction(m, q)))
         return ComplexVal(fv, abs(fv) * mp.mpf(10) ** (-mp.mp.dps + 3))
     return specfn.hurwitz_zeta(sval, mp.mpf(m) / q, cfg)
 

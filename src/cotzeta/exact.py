@@ -73,13 +73,6 @@ def poly_eval(coeffs: Iterable[Rational], x: Rational) -> Fraction:
     return acc
 
 
-def periodic_bernoulli(n: int, x: Rational) -> Fraction:
-    """Periodic Bernoulli function: B_n evaluated at the fractional part of x."""
-    xq = Fraction(x)
-    frac = xq - (xq.numerator // xq.denominator)
-    return poly_eval(bernoulli_polynomial(n), frac)
-
-
 def rising_factorial(x, n: int):
     """Rising factorial x(x+1)...(x+n-1); the empty product (n = 0) is 1.
 
@@ -96,8 +89,9 @@ def rising_factorial(x, n: int):
     return result
 
 
-def zeta_neg_int(k: int) -> Fraction:
-    """zeta(-k) = -B_{k+1}(1)/(k+1) for nonnegative integer k.
+def zeta_neg_int(k: int, x: Rational = 1) -> Fraction:
+    """Hurwitz zeta(-k, x) = -B_{k+1}(x)/(k+1) for nonnegative integer k and
+    rational 0 < x <= 1; the default x = 1 gives Riemann's zeta(-k).
 
     Evaluating the Bernoulli polynomial at 1 (rather than taking the number
     B_{k+1}) keeps the k = 0 case honest: zeta(0) = -B_1(1) = -1/2, whereas
@@ -105,7 +99,7 @@ def zeta_neg_int(k: int) -> Fraction:
     """
     if k < 0:
         raise DomainError("zeta_neg_int wants a nonnegative integer")
-    return -poly_eval(bernoulli_polynomial(k + 1), 1) / (k + 1)
+    return -poly_eval(bernoulli_polynomial(k + 1), x) / (k + 1)
 
 
 def _sawtooth(x: Fraction) -> Fraction:
@@ -323,7 +317,7 @@ class PeriodPolynomial:
                 w = specfn.riemann_zeta(self.zeta_weight, cfg)
                 total = total / w.val
                 err = err / abs(w.val) + abs(total) / abs(w.val) * w.abs_err
-        return specfn.ComplexVal.from_mpc(total, err)
+        return specfn.ComplexVal(total, err)
 
     def to_json(self) -> dict:
         return {
@@ -362,18 +356,23 @@ def exact_c_minus_n(n: int, h: int, k: int) -> ExactScaled:
         return -exact_c_minus_n(n, -h, k)
     _require_coprime_positive(h, k, "exact_c_minus_n")
     s = apostol_sum(n, h, k)
-    sign = -1 if (n - 1) // 2 % 2 else 1  # i^(n-1) for odd n
-    return ExactScaled(Fraction(sign * 2 ** n, factorial(n)) * s, n, 0)
+    return ExactScaled(Fraction(2 ** n, factorial(n)) * s, n, n - 1)
 
 
-def _thm13_bracket(n: int, h: int, k: int, convention: str) -> Fraction:
-    total = n * bernoulli_number(n + 1, convention)
-    for m in range(n + 2):
-        total += (comb(n + 1, m)
-                  * bernoulli_number(m, convention)
-                  * bernoulli_number(n + 1 - m, convention)
-                  * Fraction(h) ** m * Fraction(k) ** (n + 1 - m))
-    return total
+def bernoulli_convolution(n: int, convention: str = ZEROED) -> list[Fraction]:
+    """Coefficients C(n+1,m) B_m B_{n+1-m}, m = 0..n+1, of the Bernoulli
+    convolution shared by the odd-order reciprocity law, the period
+    polynomials psi_{-n} and g_{-n}, and the closed cot-cot integral."""
+    return [comb(n + 1, m) * bernoulli_number(m, convention)
+            * bernoulli_number(n + 1 - m, convention) for m in range(n + 2)]
+
+
+def bernoulli_convolution_at(n: int, h: int, k: int,
+                             convention: str = ZEROED) -> Fraction:
+    """sum_m C(n+1,m) B_m B_{n+1-m} h^m k^{n+1-m}."""
+    return sum((c * h ** m * k ** (n + 1 - m)
+                for m, c in enumerate(bernoulli_convolution(n, convention)) if c),
+               Fraction(0))
 
 
 def thm13_rhs(n: int, h: int, k: int, convention: str = STANDARD) -> ExactScaled:
@@ -387,10 +386,10 @@ def thm13_rhs(n: int, h: int, k: int, convention: str = STANDARD) -> ExactScaled
     """
     _require_odd_gt1(n, "thm13_rhs")
     _require_coprime_positive(h, k, "thm13_rhs")
-    bracket = _thm13_bracket(n, h, k, convention)
-    sign = -1 if (n - 1) // 2 % 2 else 1
-    coeff = Fraction(sign * 2 ** n, factorial(n + 1)) * bracket / Fraction(h * k) ** n
-    return ExactScaled(coeff, n, 0)
+    bracket = (n * bernoulli_number(n + 1, convention)
+               + bernoulli_convolution_at(n, h, k, convention))
+    coeff = Fraction(2 ** n, factorial(n + 1)) * bracket / Fraction(h * k) ** n
+    return ExactScaled(coeff, n, n - 1)
 
 
 def verify_thm13(n: int, h: int, k: int) -> ExactScaled:
@@ -413,16 +412,10 @@ def psi_polynomial(n: int) -> PeriodPolynomial:
     exact coefficients).  Coefficients are purely imaginary for odd n.
     """
     _require_odd_gt1(n, "psi_polynomial")
-    sign = -1 if (n - 1) // 2 % 2 else 1  # i^n = sign * i for odd n
-    coeffs = {}
-    for m in range(n + 2):
-        c = (comb(n + 1, m)
-             * bernoulli_number(m, ZEROED)
-             * bernoulli_number(n + 1 - m, ZEROED))
-        if c:
-            coeffs[m - 1] = ExactScaled(
-                Fraction(sign * 2 ** n, factorial(n + 1)) * c, n, 1)
-    return PeriodPolynomial(coeffs, zeta_weight=n)
+    scale = Fraction(2 ** n, factorial(n + 1))
+    return PeriodPolynomial(
+        {m - 1: ExactScaled(scale * c, n, n)
+         for m, c in enumerate(bernoulli_convolution(n))}, zeta_weight=n)
 
 
 def g_polynomial(n: int) -> PeriodPolynomial:
@@ -435,13 +428,7 @@ def g_polynomial(n: int) -> PeriodPolynomial:
     pi^n, the constant term vanishes, and there is no 1/zeta weight.
     """
     _require_odd_gt1(n, "g_polynomial")
-    sign = -1 if (n - 1) // 2 % 2 else 1  # i^(n-1) for odd n
-    coeffs = {}
-    for m in range(n + 1):
-        c = (comb(n + 1, m + 1)
-             * bernoulli_number(m + 1, ZEROED)
-             * bernoulli_number(n - m, ZEROED))
-        if c:
-            coeffs[m] = ExactScaled(
-                Fraction(sign * 2 ** n, factorial(n + 1)) * c, n, 0)
-    return PeriodPolynomial(coeffs, zeta_weight=0)
+    scale = Fraction(2 ** n, factorial(n + 1))
+    return PeriodPolynomial(
+        {m - 1: ExactScaled(scale * c, n, n - 1)
+         for m, c in enumerate(bernoulli_convolution(n)) if m}, zeta_weight=0)

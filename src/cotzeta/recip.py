@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import factorial, gcd
 
 import mpmath as mp
 
 from . import exact, specfn, sums
-from .errors import AbscissaShiftError, DomainError, PoleError, PrecisionError
+from .errors import AbscissaShiftError, DomainError, PoleError
 from .exact import ExactScaled
 from .reports import VerifyResult
 from .specfn import ComplexVal, PrecisionConfig, DEFAULT_PRECISION
@@ -41,18 +41,12 @@ class QuadratureConfig:
     target_abs_err: float = 1e-10
 
     def __post_init__(self):
-        if self.panel_rule == "gauss_legendre_n":
-            object.__setattr__(self, "panel_rule", "gauss_legendre")
         if self.panel_rule not in ("gauss_legendre", "adaptive_simpson"):
             raise DomainError(f"unknown panel rule {self.panel_rule!r}")
         if self.epsilon < 0 or self.truncation_height < 0:
             raise DomainError("epsilon and truncation_height must be >= 0")
         if not self.target_abs_err > 0:
             raise DomainError("target_abs_err must be positive")
-
-    def tightened(self, factor: float) -> "QuadratureConfig":
-        return QuadratureConfig(self.epsilon, 0.0, self.panel_rule,
-                                self.target_abs_err / factor)
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -284,15 +278,9 @@ def closed_form_integral(n: int, h: int, k: int) -> ExactScaled:
         raise DomainError("closed_form_integral is defined for odd n > 1")
     if h < 1 or k < 1 or gcd(h, k) != 1:
         raise DomainError("closed_form_integral needs coprime positive h, k")
-    total = Fraction(0)
-    for m in range(n + 2):
-        total += (comb(n + 1, m)
-                  * exact.bernoulli_number(m, exact.ZEROED)
-                  * exact.bernoulli_number(n + 1 - m, exact.ZEROED)
-                  * Fraction(h) ** m * Fraction(k) ** (n + 1 - m))
-    sign = -1 if (n - 1) // 2 % 2 else 1  # i^n = sign * i for odd n
-    coeff = Fraction(sign * 2 ** (n + 1), h * k * factorial(n + 1)) * total
-    return ExactScaled(coeff, n, 1)
+    coeff = (Fraction(2 ** (n + 1), h * k * factorial(n + 1))
+             * exact.bernoulli_convolution_at(n, h, k))
+    return ExactScaled(coeff, n, n)
 
 
 def verify_cor23(n: int, h: int, k: int, quad: QuadratureConfig | None = None,
@@ -468,16 +456,7 @@ def residue_at_one(a, ks, ms, cfg: PrecisionConfig | None = None) -> ComplexVal:
     with mp.workdps(cfg.working_digits + 10):
         total = ComplexVal(0, 0)
         for l0 in range(L + 1):
-            conv = ExactScaled(0)
-            for tup in _cot_index_tuples(ms_inner, -l0 - 1):
-                prod = ExactScaled(1)
-                for lj, kj, mj in zip(tup, ks, ms_inner):
-                    c = laurent_coeff_cot(lj, kj, mj)
-                    if c.is_zero():
-                        prod = ExactScaled(0)
-                        break
-                    prod = prod * c
-                conv = conv + prod
+            conv = convolution_at_zero(-l0, ks, ms_inner)
             if conv.is_zero():
                 continue
             zc = laurent_coeff_zeta(l0, a, m0, cfg)

@@ -46,13 +46,6 @@ class PrecisionConfig:
         if self.max_terms < 100:
             raise DomainError("max_terms is unusably small")
 
-    def tightened(self, factor: float) -> "PrecisionConfig":
-        """A config with target_abs_err divided by ``factor`` and enough digits."""
-        new_target = self.target_abs_err / factor
-        import math
-        digits = max(self.working_digits, int(-math.log10(new_target)) + 4)
-        return PrecisionConfig(digits, new_target, self.max_terms)
-
 
 DEFAULT_PRECISION = PrecisionConfig()
 
@@ -88,14 +81,6 @@ class ComplexVal:
         if err < 0 or not mp.isfinite(err):
             raise DomainError("abs_err must be finite and nonnegative")
         object.__setattr__(self, "abs_err", err)
-
-    @classmethod
-    def from_mpc(cls, val, abs_err=0) -> "ComplexVal":
-        return cls(val, abs_err)
-
-    @classmethod
-    def exact_value(cls, val) -> "ComplexVal":
-        return cls(val, 0)
 
     @classmethod
     def from_exact(cls, es: exact.ExactScaled, cfg: "PrecisionConfig | None" = None) -> "ComplexVal":

@@ -46,9 +46,6 @@ class RationalArg:
         f = Fraction(text)
         return cls(f.numerator, f.denominator)
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
     def __str__(self):
         return f"{self.p}/{self.q}"
 
@@ -158,12 +155,6 @@ def bc_sum_higher(a, k0: int, ks, cfg: PrecisionConfig | None = None) -> Complex
     return bc_sum_general(spec, cfg)
 
 
-def _zeta_neg_exact_mpf(a: int, m: int, q: int) -> mp.mpf:
-    """Exact zeta(-a, m/q) = -B_{a+1}(m/q)/(a+1) as mpf at current precision."""
-    val = -exact.poly_eval(exact.bernoulli_polynomial(a + 1), Fraction(m, q)) / (a + 1)
-    return mp.mpf(val.numerator) / val.denominator
-
-
 def cotangent_sum_C(a: int, k: int, x: RationalArg,
                     cfg: PrecisionConfig | None = None) -> ComplexVal:
     """Derivative cotangent sum C(a, k, x) for nonnegative integers a, k.
@@ -190,7 +181,7 @@ def cotangent_sum_C(a: int, k: int, x: RationalArg,
         for m in range(1, q):
             lam = _e_twist(m * x.p, q)
             phi = specfn.lerch_phi(-k, 1, lam, cfg)
-            zeta_exact = _zeta_neg_exact_mpf(a, m, q)
+            zeta_exact = specfn._real_mpf(exact.zeta_neg_int(a, Fraction(m, q)))
             term = phi * ComplexVal(lam * zeta_exact,
                                     abs(zeta_exact) * mp.mpf(10) ** (-wp + 3))
             total = total + term
@@ -220,7 +211,7 @@ def cotangent_sum_C_trig(a: int, k: int, x: RationalArg,
         total = ComplexVal(0, 0)
         for m in range(1, q):
             cd = specfn.cot_derivative(k, mp.pi * m * x.p / mp.mpf(q), cfg)
-            zeta_exact = _zeta_neg_exact_mpf(a, m, q)
+            zeta_exact = specfn._real_mpf(exact.zeta_neg_int(a, Fraction(m, q)))
             total = total + cd * zeta_exact
         pref = -mp.mpf(q) ** a / (2j) ** (k + 1)
         return ComplexVal(pref * total.val, abs(pref) * total.abs_err)

@@ -1,11 +1,35 @@
 """CLI golden tests: exit-code contract, determinism, overwrite protection."""
 
 import json
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from cotzeta.cli import main
+from cotzeta import exact
+from cotzeta.cli import main, verify
+from cotzeta.exact import ExactScaled
+
+# One passing example per identity code of `czeta verify`.
+VERIFY_EXAMPLES = {
+    "thm11": "--a -3 --h 2 --k 3",
+    "thm12": "--a 2.5 --h 2 --k 3",
+    "thm13": "--n 3 --h 2 --k 3",
+    "thm14-cross": "--n 3",
+    "cor23": "--n 3 --h 2 --k 3",
+    "thm31": "--a 2.5 --ks 2,3 --ms 0,0,0",
+    "thm32": "--n 3 --ks 2,3 --ms 0,0,0",
+    "cor33": "--n 4 --ks 2,3 --ms 0,0,1",
+    "prop43": "--s 2 --a 3 --q 5",
+    "thm44": "--k 2 --a 3 --q 5",
+    "cor45": "--a 2 --k 4 --q 5",
+    "lemma41": "--k 1,2,3 --q 5",
+    "lemma42": "--s 2.5 --z 0.7 --n 1 --q 5",
+    "eisenstein-period": "--n 3 --z 1j",
+    "dedekind-recip": "--hk-max 5",
+}
 
 
 @pytest.fixture()
@@ -101,6 +125,30 @@ class TestVerify:
         out2 = runner.invoke(main, args).output
         assert out1 == out2
 
+    def test_examples_cover_every_code(self):
+        assert set(VERIFY_EXAMPLES) == set(verify.commands)
+
+    @pytest.mark.parametrize("code", sorted(VERIFY_EXAMPLES))
+    def test_every_code_passes(self, runner, code):
+        res = runner.invoke(main, ["verify", code, *VERIFY_EXAMPLES[code].split()])
+        assert res.exit_code == 0, res.output
+        rows = [json.loads(l) for l in res.output.strip().splitlines()]
+        assert rows and all(doc["pass"] for doc in rows)
+
+    def test_thm13_failure_reports_closed_form_rhs(self, runner, monkeypatch):
+        monkeypatch.setattr(exact, "verify_thm13",
+                            lambda n, h, k: ExactScaled(Fraction(1, 7), n, n - 1))
+        res = runner.invoke(main, ["verify", "thm13", "--n", "3", "--h", "2",
+                                   "--k", "3"])
+        assert res.exit_code == 1
+        doc = json.loads(res.output.strip())
+        assert doc["pass"] is False
+        rhs = exact.thm13_rhs(3, 2, 3).numeric(40)
+        assert float(doc["rhs"]["re"]) == pytest.approx(float(rhs.real), rel=1e-12)
+        assert float(doc["rhs"]["im"]) == 0
+        lhs_minus_rhs = float(doc["lhs"]["re"]) - float(doc["rhs"]["re"])
+        assert lhs_minus_rhs == pytest.approx(float(doc["residual"]["re"]), rel=1e-9)
+
     def test_parity_violation_exit_2(self, runner):
         res = runner.invoke(main, ["verify", "thm32", "--n", "4", "--ks", "2,3",
                                    "--ms", "0,0,0"])
@@ -142,3 +190,12 @@ class TestTable:
         doc = json.loads(res.output)
         assert all(set(r) == {"n", "h", "k", "num", "den", "pi_pow", "i_pow"}
                    for r in doc["rows"])
+
+
+def test_readme_lists_every_identity_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| code | statement checked |", 1)[1].split("\n\n", 1)[0]
+    codes = set()
+    for cell in re.findall(r"^\| ([^|]+) \|", table, flags=re.M):
+        codes.update(re.findall(r"`([^`]+)`", cell))
+    assert codes == set(verify.commands)

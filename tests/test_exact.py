@@ -103,6 +103,11 @@ class TestZetaNegInt:
         assert zeta_neg_int(2) == 0
         assert zeta_neg_int(3) == Fraction(1, 120)
 
+    def test_hurwitz_values(self):
+        # zeta(0, x) = 1/2 - x and zeta(-1, x) = -B_2(x)/2.
+        assert zeta_neg_int(0, Fraction(1, 3)) == Fraction(1, 6)
+        assert zeta_neg_int(1, Fraction(1, 2)) == Fraction(1, 24)
+
 
 class TestDedekindSum:
     def test_small_values(self):

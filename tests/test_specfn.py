@@ -44,11 +44,6 @@ class TestPrecisionConfig:
         with pytest.raises(DomainError):
             PrecisionConfig(20, -1e-10)
 
-    def test_tightened(self):
-        c = CFG.tightened(100)
-        assert c.target_abs_err == pytest.approx(1e-14, rel=1e-9)
-        assert c.working_digits >= 18
-
 
 class TestComplexVal:
     def test_error_propagation_mul(self):
