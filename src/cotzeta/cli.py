@@ -429,8 +429,7 @@ for _code, (_options, _rows) in VERIFY.items():
 
 def _write_table(manifest: RunManifest, rows: list[dict], fieldnames: list[str]):
     with _open_out(manifest) as stream:
-        if manifest.output_format == "csv" or (
-                manifest.output_format == "text" and manifest.out):
+        if manifest.output_format in ("csv", "text"):
             writer = csv.DictWriter(stream, fieldnames=fieldnames)
             writer.writeheader()
             for row in rows:

@@ -121,12 +121,13 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
     return lv + rv, le + re_
 
 
-def _integrate_edges(f, edges, quad: QuadratureConfig):
+def _integrate_edges(f, edges, quad: QuadratureConfig, shares: int):
     """Integrate f over consecutive [edges[i], edges[i+1]] panels.
 
     Returns (value, error_estimate).  Gauss-Legendre panels use an embedded
     lower-order rule for the estimate; panel order scales with log(1/target)
-    so the achieved error tracks the requested target.
+    so the achieved error tracks the requested target.  Adaptive Simpson
+    gives each panel target/shares.
     """
     target = mp.mpf(quad.target_abs_err)
     total = mp.mpc(0)
@@ -142,7 +143,7 @@ def _integrate_edges(f, edges, quad: QuadratureConfig):
             # so the reported budget also covers the high rule.
             err += 3 * abs(hi - lo)
     else:
-        tol = target / max(1, len(edges) - 1)
+        tol = target / shares
         for a, b in zip(edges[:-1], edges[1:]):
             fa, fb = f(a), f(b)
             m = (a + b) / 2
@@ -152,6 +153,30 @@ def _integrate_edges(f, edges, quad: QuadratureConfig):
             total += v
             err += e
     return total, err
+
+
+def _integrate_line(f_lower, f_upper, edges, quad: QuadratureConfig, conj_symmetric: bool):
+    """Integrate over the symmetric panel edges of a vertical line, split at t = 0.
+
+    f_upper is integrated over [0, T] and f_lower over [-T, 0]; the two may
+    differ at t = 0.  Every panel of the whole line shares the target.  When
+    conj_symmetric holds, f_lower(-t) = conj f_upper(t), so the lower half is
+    the conjugate of the upper one, with the same error estimate, and is not
+    evaluated.  Returns (value, error_estimate).
+    """
+    mid = len(edges) // 2
+    shares = len(edges) - 1
+    val, err = _integrate_edges(f_upper, edges[mid:], quad, shares)
+    if conj_symmetric:
+        return val + mp.conj(val), 2 * err
+    val_b, err_b = _integrate_edges(f_lower, edges[:mid + 1], quad, shares)
+    return val_b + val, err_b + err
+
+
+def _end_samples(f_lower, f_upper, T, conj_symmetric: bool):
+    """|f_lower(-T)| + |f_upper(T)|, the sampled size of both tails."""
+    top = abs(f_upper(T))
+    return 2 * top if conj_symmetric else abs(f_lower(-T)) + top
 
 
 def _geometric_edges(scale, T):
@@ -190,6 +215,11 @@ def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = 
     bottom; the constant is subtracted and its closed-form integral
     (c_top - c_bot) eps^(1-s)/(1-s) is added back (zero when d is even).
     Products containing any derivative factor decay exponentially on their own.
+
+    At a real exponent only the upper half-line is evaluated: eps is real and
+    the subtracted constants are conjugates, so the integrand at eps - it is
+    the conjugate of the one at eps + it, and the lower half contributes the
+    conjugate of the upper half with the same error estimate.
     """
     cfg = cfg or DEFAULT_PRECISION
     quad = quad or DEFAULT_QUAD
@@ -232,14 +262,11 @@ def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = 
         f_top = make_integrand(ctop)
         f_bot = make_integrand(cbot)
         # The subtracted constant differs between the half-lines when d is
-        # odd, so integrate the halves with their own closures (the shared
-        # t = 0 edge must see the right constant).
-        edges = _geometric_edges(eps, T)
-        mid = edges.index(mp.mpf(0))
-        val_b, qerr_b = _integrate_edges(f_bot, edges[:mid + 1], quad)
-        val_t, qerr_t = _integrate_edges(f_top, edges[mid:], quad)
-        val = val_b + val_t
-        qerr = qerr_b + qerr_t
+        # odd, so the halves get their own closures (the shared t = 0 edge
+        # must see the right constant).  eps is real and cbot = conj(ctop),
+        # so a real exponent gives f_bot(-t) = conj f_top(t).
+        symmetric = s.imag == 0
+        val, qerr = _integrate_line(f_bot, f_top, _geometric_edges(eps, T), quad, symmetric)
         result = -1j * val
         if pure_cot:
             comp = (ctop - cbot) * eps ** (1 - s) / (1 - s)
@@ -251,7 +278,7 @@ def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = 
                     / abs(eps + 1j * T) ** s.real) * 2
         else:
             # Sampled exponential-decay estimate for derivative products.
-            tail = 3 * (abs(f_top(T)) + abs(f_bot(-T))) / rate
+            tail = 3 * _end_samples(f_bot, f_top, T, symmetric) / rate
         return ComplexVal(result, qerr + tail)
 
 
@@ -468,11 +495,20 @@ def residue_at_one(a, ks, ms, cfg: PrecisionConfig | None = None) -> ComplexVal:
 # Multi-factor reciprocity verifiers
 # ---------------------------------------------------------------------------
 
-def _require_pairwise_coprime(ks):
+def _multi_factor_args(ks, ms):
+    """Moduli and derivative orders (m0, m1..md) as int tuples, checked:
+    one order per modulus plus m0, none negative, moduli pairwise coprime."""
+    ks = tuple(int(k) for k in ks)
+    ms = tuple(int(m) for m in ms)
+    if len(ms) != len(ks) + 1:
+        raise DomainError("need derivative orders (m0, m1..md)")
+    if any(m < 0 for m in ms):
+        raise DomainError("derivative orders must be nonnegative")
     for i in range(len(ks)):
         for j in range(i + 1, len(ks)):
             if gcd(ks[i], ks[j]) != 1:
                 raise DomainError(f"moduli must be pairwise coprime, got {ks}")
+    return ks, ms
 
 
 def _compositions(total: int, slots: int):
@@ -531,11 +567,7 @@ def verify_thm31(a, ks, ms, quad: QuadratureConfig | None = None,
     """
     cfg = cfg or DEFAULT_PRECISION
     quad = quad or DEFAULT_QUAD
-    ks = tuple(int(k) for k in ks)
-    ms = tuple(int(m) for m in ms)
-    if len(ms) != len(ks) + 1:
-        raise DomainError("need derivative orders (m0, m1..md)")
-    _require_pairwise_coprime(ks)
+    ks, ms = _multi_factor_args(ks, ms)
     with mp.workdps(cfg.working_digits + 10):
         ac = mp.mpc(a)
         if not ac.real > 1:
@@ -563,19 +595,13 @@ def verify_thm32(n: int, ks, ms, cfg: PrecisionConfig | None = None) -> VerifyRe
         (-1)^(m0+1) n^(m0) / 2 * sum_{l_1+..+l_d = n+m0-1} prod a_{l_j}.
     """
     cfg = cfg or DEFAULT_PRECISION
-    ks = tuple(int(k) for k in ks)
-    ms = tuple(int(m) for m in ms)
-    if len(ms) != len(ks) + 1:
-        raise DomainError("need derivative orders (m0, m1..md)")
+    ks, ms = _multi_factor_args(ks, ms)
     if n <= 1:
         raise DomainError("verify_thm32 needs integer n > 1")
-    _require_pairwise_coprime(ks)
     d = len(ks)
     if (ms[0] + n + d + sum(ms[1:])) % 2 == 0:
         raise DomainError(
             "parity condition violated: m0 + n + d + sum(m_j) must be odd")
-    # zeta(n + m0 + l0) poles cannot occur for n > 1; assert, don't assume.
-    assert all(n + ms[0] + l0 != 1 for l0 in range(sum(ms[1:]) + d))
     with mp.workdps(cfg.working_digits + 10):
         lhs = _generalized_lhs(n, ks, ms, cfg)
         res1 = residue_at_one(n, ks, ms, cfg)
@@ -600,13 +626,9 @@ def verify_cor33(n: int, ks, ms, quad: QuadratureConfig | None = None,
     the integer-order law)."""
     cfg = cfg or DEFAULT_PRECISION
     quad = quad or DEFAULT_QUAD
-    ks = tuple(int(k) for k in ks)
-    ms = tuple(int(m) for m in ms)
-    if len(ms) != len(ks) + 1:
-        raise DomainError("need derivative orders (m0, m1..md)")
+    ks, ms = _multi_factor_args(ks, ms)
     if n <= 1:
         raise DomainError("verify_cor33 needs integer n > 1")
-    _require_pairwise_coprime(ks)
     d = len(ks)
     if (ms[0] + n + d + sum(ms[1:])) % 2 == 0:
         raise DomainError(
@@ -675,6 +697,10 @@ def g_a_numeric(a, z, M: int | None = None, quad: QuadratureConfig | None = None
     and the sum must reproduce the polynomial) and by the Eisenstein-period
     route at generic order; the combination above is the one invariant under
     changes of M.
+
+    For real a and real z > 0 only the upper half of the line is evaluated:
+    zeta, Gamma, the sine and (2 pi z)^(-s) are all real on the real axis, so
+    the integrand at c - it is the conjugate of the one at c + it.
     """
     cfg = cfg or DEFAULT_PRECISION
     quad = quad or DEFAULT_QUAD
@@ -725,10 +751,11 @@ def g_a_numeric(a, z, M: int | None = None, quad: QuadratureConfig | None = None
                 return (num * cosfac / mp.sinpi((s - ac) / 2)
                         * (2 * mp.pi * zc) ** (-s))
 
+            symmetric = ac.imag == 0 and zc.imag == 0
             edges = _geometric_edges(mp.mpf(1) / 2, T)
-            val, qerr = _integrate_edges(integrand, edges, quad)
+            val, qerr = _integrate_line(integrand, integrand, edges, quad, symmetric)
             upward = 1j * val
-            tail = 3 * (abs(integrand(T)) + abs(integrand(-T))) * 2 / mp.pi
+            tail = 3 * _end_samples(integrand, integrand, T, symmetric) * 2 / mp.pi
             integral = ComplexVal(upward / (mp.pi * 1j), (qerr + tail) / mp.pi)
 
         total = ComplexVal(bern, bern_err) + integral

@@ -165,6 +165,16 @@ class TestTable:
         assert lines[0].startswith("kind,n,exponent")
         assert len(lines) > 4
 
+    def test_psi_g_text_is_csv_on_stdout_and_in_file(self, runner, tmp_path):
+        args = ["table", "psi-g", "--n", "3"]
+        stdout = runner.invoke(main, ["--format", "text", *args])
+        assert stdout.exit_code == 0
+        assert stdout.output.startswith("kind,n,exponent")
+        out = tmp_path / "polys.txt"
+        res = runner.invoke(main, ["--format", "text", "--out", str(out), *args])
+        assert res.exit_code == 0
+        assert out.read_bytes() == stdout.stdout_bytes
+
     def test_empty_range(self, runner, tmp_path):
         out = tmp_path / "empty.csv"
         res = runner.invoke(main, ["--format", "csv", "--out", str(out),

@@ -12,6 +12,7 @@ from cotzeta.recip import (
     QuadratureConfig,
     closed_form_integral,
     convolution_at_zero,
+    cot_product_line_integral,
     g_a_numeric,
     laurent_coeff,
     laurent_coeff_cot,
@@ -172,6 +173,58 @@ class TestLineIntegral:
             line_integral_cotcot(3, 2, 4, QUAD, CFG)
 
 
+class TestHalfLine:
+    """A real exponent evaluates only the upper half-line; an imaginary part
+    of 1e-40 takes the full line."""
+
+    QUAD_8 = QuadratureConfig(target_abs_err=1e-8)
+
+    @pytest.mark.parametrize("s,ks,ms", [
+        (2.5, (2, 3), (0, 0)),
+        (3, (2, 3, 5), (0, 0, 0)),  # odd d: the halves subtract different constants
+        (3.5, (3, 4), (1, 0)),      # derivative factor: sampled tail
+    ])
+    def test_matches_full_line(self, s, ks, ms):
+        half = cot_product_line_integral(s, ks, ms, self.QUAD_8, CFG)
+        full = cot_product_line_integral(s + 1e-40j, ks, ms, self.QUAD_8, CFG)
+        assert abs(half.val - full.val) <= min(half.abs_err, full.abs_err)
+        assert half.val.real == 0
+
+    @staticmethod
+    def _count_calls(monkeypatch, name, call):
+        original = getattr(specfn, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(specfn, name, counted)
+        value = call()
+        monkeypatch.setattr(specfn, name, original)
+        return value, len(calls)
+
+    def test_real_exponent_halves_cot_evaluations(self, monkeypatch):
+        def line(s):
+            return lambda: cot_product_line_integral(s, (3, 4), (1, 0), self.QUAD_8, CFG)
+        half, n_half = self._count_calls(monkeypatch, "_cot_deriv_mpc", line(3.5))
+        full, n_full = self._count_calls(monkeypatch, "_cot_deriv_mpc", line(3.5 + 1e-40j))
+        assert 0 < n_half <= n_full / 2
+        assert abs(half.val - full.val) <= min(half.abs_err, full.abs_err)
+
+    def test_real_order_halves_mellin_gamma_evaluations(self, monkeypatch):
+        quad = QuadratureConfig(target_abs_err=1e-4)
+        cfg = PrecisionConfig(20, 1e-8)
+
+        def g(a):
+            return lambda: g_a_numeric(a, 1, 2, quad, cfg)
+        half, n_half = self._count_calls(monkeypatch, "complex_gamma", g(-2.5))
+        full, n_full = self._count_calls(monkeypatch, "complex_gamma", g(-2.5 + 1e-40j))
+        assert 0 < n_half <= n_full / 2
+        assert abs(half.val - full.val) <= min(half.abs_err, full.abs_err)
+        assert half.val.imag == 0
+
+
 class TestThm12:
     def test_residuals(self):
         for a, h, k in [(3, 1, 2), (2.5, 2, 3), (2 + 1j, 3, 4)]:
@@ -280,6 +333,17 @@ class TestCor33:
         # 0 + 4 + 2 + 0 is even
         with pytest.raises(DomainError):
             verify_cor33(4, (2, 3), (0, 0, 0), QUAD, CFG)
+
+
+@pytest.mark.parametrize("ms", [(-2, 0, 0), (0, -1, 0)])
+@pytest.mark.parametrize("verifier", [
+    lambda ms: verify_thm31(2.5, (2, 3), ms, QUAD, CFG),
+    lambda ms: verify_thm32(3, (2, 3), ms, CFG),
+    lambda ms: verify_cor33(3, (2, 3), ms, QUAD, CFG),
+], ids=["thm31", "thm32", "cor33"])
+def test_multifactor_rejects_negative_orders(verifier, ms):
+    with pytest.raises(DomainError, match="derivative orders must be nonnegative"):
+        verifier(ms)
 
 
 class TestPeriodFunctionNumeric:
