@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
 
@@ -98,12 +98,8 @@ def _manifest_echo(manifest: RunManifest) -> dict:
             "target_abs_err": repr(manifest.precision.target_abs_err),
             "max_terms": manifest.precision.max_terms,
         },
-        "quad": {
-            "epsilon": repr(manifest.quad.epsilon),
-            "truncation_height": repr(manifest.quad.truncation_height),
-            "panel_rule": manifest.quad.panel_rule,
-            "target_abs_err": repr(manifest.quad.target_abs_err),
-        },
+        "quad": {f.name: repr(getattr(manifest.quad, f.name))
+                 for f in fields(manifest.quad)},
         "output_format": manifest.output_format,
     }
 
@@ -139,8 +135,6 @@ def _emit(manifest: RunManifest, payload: dict):
               help="Target absolute error for vertical-line quadrature.")
 @click.option("--quad-height", type=float, default=0.0, show_default=True,
               help="Truncation height T for line integrals (0 = automatic).")
-@click.option("--quad-rule", type=click.Choice(["gauss_legendre", "adaptive_simpson"]),
-              default="gauss_legendre", show_default=True)
 @click.option("--epsilon", type=float, default=0.0, show_default=True,
               help="Abscissa of cotangent-product lines (0 = automatic).")
 @click.option("--format", "output_format", type=click.Choice(["json", "csv", "text"]),
@@ -151,11 +145,11 @@ def _emit(manifest: RunManifest, payload: dict):
               help="Override the pass/fail threshold for verify commands.")
 @click.pass_context
 def main(ctx, precision_digits, target_err, quad_target_err, quad_height,
-         quad_rule, epsilon, output_format, out, force, budget_override):
+         epsilon, output_format, out, force, budget_override):
     """Cotangent-Hurwitz zeta sums: computation and identity verification."""
     try:
         precision = PrecisionConfig(precision_digits, target_err)
-        quad = QuadratureConfig(epsilon, quad_height, quad_rule, quad_target_err)
+        quad = QuadratureConfig(epsilon, quad_height, quad_target_err)
     except CotZetaError as exc:
         raise click.UsageError(str(exc))
     ctx.obj = RunManifest("", {}, precision, quad, output_format, out, force,
@@ -353,7 +347,7 @@ def _thm13_report(n: int, h: int, k: int) -> VerifyResult:
 def _thm13_rows(_manifest, n, hk_max, h, k):
     if hk_max is None and (h is None or k is None):
         raise click.UsageError("need either --hk-max or both --h and --k")
-    pairs = list(_coprime_pairs(hk_max)) if hk_max else [(h, k)]
+    pairs = [(h, k)] if hk_max is None else list(_coprime_pairs(hk_max))
     return (_thm13_report(nn, hh, kk) for nn in n for hh, kk in pairs)
 
 
@@ -364,15 +358,16 @@ def _once(verifier, *args):
 _H, _K = _opt("--h"), _opt("--k")
 _KS, _MS = _opt("--ks", INT_LIST), _opt("--ms", INT_LIST)
 _TWIST = (_opt("--p", default=1), _opt("--q"))
+_HK_MAX = click.IntRange(min=1)
 
 # Each identity code of `czeta verify`: its options and a function of
 # (manifest, **options) returning its reports lazily, so no report is
 # computed before the output is open.
 VERIFY = {
-    "thm13": ((_opt("--n", INT_LIST, "3,5,7,9"), click.option("--hk-max", type=int),
+    "thm13": ((_opt("--n", INT_LIST, "3,5,7,9"), click.option("--hk-max", type=_HK_MAX),
                click.option("--h", type=int), click.option("--k", type=int)),
               _thm13_rows),
-    "dedekind-recip": ((_opt("--hk-max", default=50),),
+    "dedekind-recip": ((_opt("--hk-max", _HK_MAX, 50),),
                        lambda m, hk_max: (recip.verify_dedekind_recip(h, k)
                                           for h, k in _coprime_pairs(hk_max))),
     "thm12": ((_opt("--a", COMPLEX_LIST, help="Comma-separated orders."), _H, _K),
@@ -452,12 +447,8 @@ def table_psi_g(manifest, n):
         for kind, poly in (("psi", exact.psi_polynomial(nn)),
                            ("g", exact.g_polynomial(nn))):
             for e, c in sorted(poly.coefficients.items()):
-                rows.append({
-                    "kind": kind, "n": nn, "exponent": e,
-                    "num": str(c.coeff.numerator), "den": str(c.coeff.denominator),
-                    "pi_pow": c.pi_power, "i_pow": c.i_power,
-                    "zeta_weight": poly.zeta_weight,
-                })
+                rows.append({"kind": kind, "n": nn, "exponent": e, **c.to_json(),
+                             "zeta_weight": poly.zeta_weight})
     _write_table(manifest, rows,
                  ["kind", "n", "exponent", "num", "den", "pi_pow", "i_pow",
                   "zeta_weight"])
@@ -465,15 +456,8 @@ def table_psi_g(manifest, n):
 
 @_command(table, "thm13-rhs", _opt("--n", INT_LIST, "3,5"), _opt("--hk-max", default=5))
 def table_thm13_rhs(manifest, n, hk_max):
-    rows = []
-    for nn in n:
-        for h, k in _coprime_pairs(hk_max):
-            v = exact.thm13_rhs(nn, h, k)
-            rows.append({
-                "n": nn, "h": h, "k": k,
-                "num": str(v.coeff.numerator), "den": str(v.coeff.denominator),
-                "pi_pow": v.pi_power, "i_pow": v.i_power,
-            })
+    rows = [{"n": nn, "h": h, "k": k, **exact.thm13_rhs(nn, h, k).to_json()}
+            for nn in n for h, k in _coprime_pairs(hk_max)]
     _write_table(manifest, rows, ["n", "h", "k", "num", "den", "pi_pow", "i_pow"])
 
 

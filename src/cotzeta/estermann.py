@@ -17,7 +17,7 @@ import mpmath as mp
 
 from . import exact, specfn, sums
 from .errors import DomainError, PoleError
-from .reports import VerifyResult
+from .reports import VerifyResult, residual_budget
 from .specfn import ComplexVal, PrecisionConfig, DEFAULT_PRECISION
 from .sums import RationalArg, _e_twist
 
@@ -162,7 +162,7 @@ def verify_thm44(k: int, x: RationalArg, a: int,
         residual_ref = primary - ref
         worst = residual_routes if residual_routes.mag() >= residual_ref.mag() \
             else residual_ref
-        budget = float(worst.abs_err + mp.mpf(cfg.target_abs_err))
+        budget = residual_budget(worst, cfg.target_abs_err)
     return VerifyResult(
         "thm44", {"k": k, "a": a, "x": str(x)}, primary, dual, worst, budget,
         details={"hurwitz_reference": ref.to_json(),
@@ -184,7 +184,7 @@ def verify_prop43(s: int, x: RationalArg, a: int,
         r1 = ref - first
         r2 = ref - second
         worst = r1 if r1.mag() >= r2.mag() else r2
-        budget = float(worst.abs_err + mp.mpf(cfg.target_abs_err))
+        budget = residual_budget(worst, cfg.target_abs_err)
     return VerifyResult(
         "prop43", {"s": s, "a": a, "x": str(x)}, ref, first, worst, budget,
         details={"first_display_residual": r1.to_json(),
@@ -215,10 +215,9 @@ def verify_lemma42(s, z, n: int, x: RationalArg,
         lam = _e_twist(n * x.p, q)
         phi = specfn.lerch_phi(sc, q * zr, lam, cfg)
         rhs = ComplexVal(mp.mpc(q) ** sc) * phi
-        residual = lhs - rhs
-        budget = float(residual.abs_err + mp.mpf(cfg.target_abs_err))
-    return VerifyResult("lemma42", {"s": str(s), "z": str(z), "n": n, "x": str(x)},
-                        lhs, rhs, residual, budget)
+        return VerifyResult.compare(
+            "lemma42", {"s": str(s), "z": str(z), "n": n, "x": str(x)},
+            lhs, rhs, cfg.target_abs_err)
 
 
 def verify_lemma41(k: int, x: RationalArg,
@@ -245,9 +244,8 @@ def verify_lemma41(k: int, x: RationalArg,
         else:
             cd = specfn.cot_derivative(k - 1, theta, cfg)
             rhs = cd * ComplexVal(mp.mpf(k) / (2j) ** k)
-        residual = lhs - rhs
-        budget = float(residual.abs_err + mp.mpf(cfg.target_abs_err))
-    return VerifyResult("lemma41", {"k": k, "x": str(x)}, lhs, rhs, residual, budget)
+        return VerifyResult.compare("lemma41", {"k": k, "x": str(x)}, lhs, rhs,
+                                    cfg.target_abs_err)
 
 
 def verify_cor45(a: int, k: int, x: RationalArg,
@@ -267,7 +265,5 @@ def verify_cor45(a: int, k: int, x: RationalArg,
                   * exact.zeta_neg_int(k) * exact.zeta_neg_int(a))
         pred_v = mp.mpf(pred_q.numerator) / pred_q.denominator
         pred = ComplexVal(pred_v, abs(pred_v) * mp.mpf(10) ** (-mp.mp.dps + 3))
-        residual = diff - pred
-        budget = float(residual.abs_err + mp.mpf(cfg.target_abs_err))
-    return VerifyResult("cor45", {"a": a, "k": k, "x": str(x)},
-                        diff, pred, residual, budget)
+        return VerifyResult.compare("cor45", {"a": a, "k": k, "x": str(x)},
+                                    diff, pred, cfg.target_abs_err)

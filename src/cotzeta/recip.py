@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial, gcd
 
 import mpmath as mp
@@ -32,17 +33,14 @@ class QuadratureConfig:
     ``epsilon`` is the abscissa of the cotangent-product lines (0 means half
     of the admissible bound min 1/k_j); ``truncation_height`` caps |Im| (0
     means derived from target_abs_err); panels use Gauss-Legendre with an
-    embedded error estimate by default, or adaptive Simpson.
+    embedded error estimate, at an order set by target_abs_err.
     """
 
     epsilon: float = 0.0
     truncation_height: float = 0.0
-    panel_rule: str = "gauss_legendre"
     target_abs_err: float = 1e-10
 
     def __post_init__(self):
-        if self.panel_rule not in ("gauss_legendre", "adaptive_simpson"):
-            raise DomainError(f"unknown panel rule {self.panel_rule!r}")
         if self.epsilon < 0 or self.truncation_height < 0:
             raise DomainError("epsilon and truncation_height must be >= 0")
         if not self.target_abs_err > 0:
@@ -59,6 +57,14 @@ DEFAULT_QUAD = QuadratureConfig()
 _gl_cache: dict = {}
 
 
+def _legendre(n: int, x):
+    """(P_n(x), P_n'(x)) by the three-term recurrence."""
+    p0, p1 = mp.mpf(1), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
 def _legendre_nodes(n: int):
     """Gauss-Legendre nodes/weights on [-1, 1] by Newton iteration, cached per
     (n, binary precision)."""
@@ -70,28 +76,18 @@ def _legendre_nodes(n: int):
     for i in range(1, n // 2 + 1):
         x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))
         for _ in range(100):
-            p0, p1 = mp.mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            dx = p1 / dp
+            p, dp = _legendre(n, x)
+            dx = p / dp
             x -= dx
             if abs(dx) < mp.mpf(10) ** (-mp.mp.dps - 2):
                 break
-        p0, p1 = mp.mpf(1), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1)
+        dp = _legendre(n, x)[1]
         w = 2 / ((1 - x * x) * dp * dp)
         nodes.extend([-x, x])
         weights.extend([w, w])
     if n % 2:
-        x = mp.mpf(0)
-        p0, p1 = mp.mpf(1), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1)
-        nodes.append(x)
+        dp = _legendre(n, mp.mpf(0))[1]
+        nodes.append(mp.mpf(0))
         weights.append(2 / dp / dp)
     _gl_cache[key] = (tuple(nodes), tuple(weights))
     return _gl_cache[key]
@@ -107,69 +103,41 @@ def _gl_panel(f, a, b, n):
     return acc * half
 
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = (a + b) / 2
-    lm, rm = (a + m) / 2, (m + b) / 2
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6 * (fa + 4 * flm + fm)
-    right = (b - m) / 6 * (fm + 4 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15 * tol:
-        return left + right + delta / 15, abs(delta) / 15
-    lv, le = _adaptive_simpson(f, a, m, fa, flm, fm, left, tol / 2, depth - 1)
-    rv, re_ = _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2, depth - 1)
-    return lv + rv, le + re_
-
-
-def _integrate_edges(f, edges, quad: QuadratureConfig, shares: int):
+def _integrate_edges(f, edges, target):
     """Integrate f over consecutive [edges[i], edges[i+1]] panels.
 
     Returns (value, error_estimate).  Gauss-Legendre panels use an embedded
     lower-order rule for the estimate; panel order scales with log(1/target)
-    so the achieved error tracks the requested target.  Adaptive Simpson
-    gives each panel target/shares.
+    so the achieved error tracks the requested target.
     """
-    target = mp.mpf(quad.target_abs_err)
+    n_hi = max(14, int(-1.9 * mp.log10(target)) + 8)
+    n_lo = max(8, (2 * n_hi) // 3)
     total = mp.mpc(0)
     err = mp.mpf(0)
-    if quad.panel_rule == "gauss_legendre":
-        n_hi = max(14, int(-1.9 * mp.log10(target)) + 8)
-        n_lo = max(8, (2 * n_hi) // 3)
-        for a, b in zip(edges[:-1], edges[1:]):
-            hi = _gl_panel(f, a, b, n_hi)
-            lo = _gl_panel(f, a, b, n_lo)
-            total += hi
-            # |hi - lo| estimates the low rule's error; keep a safety factor
-            # so the reported budget also covers the high rule.
-            err += 3 * abs(hi - lo)
-    else:
-        tol = target / shares
-        for a, b in zip(edges[:-1], edges[1:]):
-            fa, fb = f(a), f(b)
-            m = (a + b) / 2
-            fm = f(m)
-            whole = (b - a) / 6 * (fa + 4 * fm + fb)
-            v, e = _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, 40)
-            total += v
-            err += e
+    for a, b in zip(edges[:-1], edges[1:]):
+        hi = _gl_panel(f, a, b, n_hi)
+        lo = _gl_panel(f, a, b, n_lo)
+        total += hi
+        # |hi - lo| estimates the low rule's error; keep a safety factor
+        # so the reported budget also covers the high rule.
+        err += 3 * abs(hi - lo)
     return total, err
 
 
-def _integrate_line(f_lower, f_upper, edges, quad: QuadratureConfig, conj_symmetric: bool):
+def _integrate_line(f_lower, f_upper, edges, target, conj_symmetric: bool):
     """Integrate over the symmetric panel edges of a vertical line, split at t = 0.
 
     f_upper is integrated over [0, T] and f_lower over [-T, 0]; the two may
-    differ at t = 0.  Every panel of the whole line shares the target.  When
-    conj_symmetric holds, f_lower(-t) = conj f_upper(t), so the lower half is
-    the conjugate of the upper one, with the same error estimate, and is not
-    evaluated.  Returns (value, error_estimate).
+    differ at t = 0.  Panel order follows target, as in _integrate_edges.
+    When conj_symmetric holds, f_lower(-t) = conj f_upper(t), so the lower
+    half is the conjugate of the upper one, with the same error estimate, and
+    is not evaluated.  Returns (value, error_estimate).
     """
     mid = len(edges) // 2
-    shares = len(edges) - 1
-    val, err = _integrate_edges(f_upper, edges[mid:], quad, shares)
+    val, err = _integrate_edges(f_upper, edges[mid:], target)
     if conj_symmetric:
         return val + mp.conj(val), 2 * err
-    val_b, err_b = _integrate_edges(f_lower, edges[:mid + 1], quad, shares)
+    val_b, err_b = _integrate_edges(f_lower, edges[:mid + 1], target)
     return val_b + val, err_b + err
 
 
@@ -266,7 +234,7 @@ def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = 
         # must see the right constant).  eps is real and cbot = conj(ctop),
         # so a real exponent gives f_bot(-t) = conj f_top(t).
         symmetric = s.imag == 0
-        val, qerr = _integrate_line(f_bot, f_top, _geometric_edges(eps, T), quad, symmetric)
+        val, qerr = _integrate_line(f_bot, f_top, _geometric_edges(eps, T), target, symmetric)
         result = -1j * val
         if pure_cot:
             comp = (ctop - cbot) * eps ** (1 - s) / (1 - s)
@@ -317,9 +285,8 @@ def verify_cor23(n: int, h: int, k: int, quad: QuadratureConfig | None = None,
     quad = quad or DEFAULT_QUAD
     lhs = line_integral_cotcot(n, h, k, quad, cfg)
     rhs = ComplexVal.from_exact(closed_form_integral(n, h, k), cfg)
-    residual = lhs - rhs
-    budget = float(residual.abs_err + mp.mpf(quad.target_abs_err))
-    return VerifyResult("cor23", {"n": n, "h": h, "k": k}, lhs, rhs, residual, budget)
+    return VerifyResult.compare("cor23", {"n": n, "h": h, "k": k}, lhs, rhs,
+                                quad.target_abs_err)
 
 
 def verify_thm12(a, h: int, k: int, quad: QuadratureConfig | None = None,
@@ -345,10 +312,8 @@ def verify_thm12(a, h: int, k: int, quad: QuadratureConfig | None = None,
         zeta_term = specfn.riemann_zeta(ac + 1, cfg) * ComplexVal(ac / (mp.pi * mp.mpf(h * k) ** ac))
         integral = line_integral_cotcot(ac, h, k, quad, cfg)
         rhs = zeta_term + integral * ComplexVal(mp.mpf(h * k) ** (1 - ac) / (2j))
-        residual = lhs - rhs
-        budget = float(residual.abs_err + mp.mpf(quad.target_abs_err))
-        return VerifyResult(
-            "thm12", {"a": str(a), "h": h, "k": k}, lhs, rhs, residual, budget)
+        return VerifyResult.compare("thm12", {"a": str(a), "h": h, "k": k}, lhs, rhs,
+                                    quad.target_abs_err)
 
 
 # ---------------------------------------------------------------------------
@@ -419,40 +384,21 @@ def laurent_coeff(j: int, l: int, *, a=None, m0: int | None = None,
 def _cot_index_tuples(ms_inner, total: int):
     """All tuples (l_1..l_d), each in {-(m_j+1)} or >= 0, with given sum.
 
-    The support restriction makes the enumeration finite: positive entries
-    are bounded by total plus what the principal parts can absorb.
+    Each choice of the factors that take their principal part -(m_j+1) leaves
+    a sum for the others, enumerated as compositions into nonnegative parts.
     """
-    d = len(ms_inner)
-    slack = sum(mj + 1 for mj in ms_inner)
-
-    def rec(idx, remaining):
-        if idx == d:
-            if remaining == 0:
-                yield ()
-            return
-        mj = ms_inner[idx]
-        choices = [-(mj + 1)] + list(range(0, max(0, remaining + slack) + 1))
-        for lj in choices:
-            rest = remaining - lj
-            # Remaining slots can reach at least -(sum of their m+1) and any
-            # nonnegative value, so prune only impossible negatives.
-            tail_min = -sum(mt + 1 for mt in ms_inner[idx + 1:])
-            if idx + 1 == d:
-                if rest == 0:
-                    yield (lj,)
-                continue
-            if rest < tail_min:
-                continue
-            for rest_tuple in rec(idx + 1, rest):
-                yield (lj,) + rest_tuple
-
-    yield from rec(0, total)
+    for principal in product((False, True), repeat=len(ms_inner)):
+        free = total + sum(mj + 1 for mj, p in zip(ms_inner, principal) if p)
+        for comp in _compositions(free, principal.count(False)):
+            parts = iter(comp)
+            yield tuple(-(mj + 1) if p else next(parts)
+                        for mj, p in zip(ms_inner, principal))
 
 
 def convolution_at_zero(order_total: int, ks, ms_inner) -> ExactScaled:
     """sum over l_1 + ... + l_d = order_total - 1 of prod_j a_{l_j} (cot factors).
 
-    Every term shares the same pi and i powers, so the sum is a single
+    Every term has the same pi and i powers, so the sum is a single
     ExactScaled value."""
     ks = tuple(ks)
     ms_inner = tuple(ms_inner)
@@ -579,11 +525,8 @@ def verify_thm31(a, ks, ms, quad: QuadratureConfig | None = None,
         if ms[0] % 2:
             pref = -pref
         rhs = -res1 + integral * ComplexVal(pref)
-        residual = lhs - rhs
-        budget = float(residual.abs_err + mp.mpf(quad.target_abs_err))
-        return VerifyResult("thm31",
-                            {"a": str(a), "k": list(ks), "m": list(ms)},
-                            lhs, rhs, residual, budget)
+        return VerifyResult.compare("thm31", {"a": str(a), "k": list(ks), "m": list(ms)},
+                                    lhs, rhs, quad.target_abs_err)
 
 
 def verify_thm32(n: int, ks, ms, cfg: PrecisionConfig | None = None) -> VerifyResult:
@@ -612,11 +555,8 @@ def verify_thm32(n: int, ks, ms, cfg: PrecisionConfig | None = None) -> VerifyRe
         collapse = ComplexVal.from_exact(conv * pref, cfg) if not conv.is_zero() \
             else ComplexVal(0, 0)
         rhs = -res1 + collapse
-        residual = lhs - rhs
-        budget = float(residual.abs_err + mp.mpf(cfg.target_abs_err))
-        return VerifyResult("thm32",
-                            {"n": n, "k": list(ks), "m": list(ms)},
-                            lhs, rhs, residual, budget)
+        return VerifyResult.compare("thm32", {"n": n, "k": list(ks), "m": list(ms)},
+                                    lhs, rhs, cfg.target_abs_err)
 
 
 def verify_cor33(n: int, ks, ms, quad: QuadratureConfig | None = None,
@@ -639,11 +579,8 @@ def verify_cor33(n: int, ks, ms, quad: QuadratureConfig | None = None,
         rhs_exact = conv * ExactScaled(-1, 1, 1)  # times -pi i
         rhs = ComplexVal.from_exact(rhs_exact, cfg) if not rhs_exact.is_zero() \
             else ComplexVal(0, 0)
-        residual = lhs - rhs
-        budget = float(residual.abs_err + mp.mpf(quad.target_abs_err))
-        return VerifyResult("cor33",
-                            {"n": n, "k": list(ks), "m": list(ms)},
-                            lhs, rhs, residual, budget)
+        return VerifyResult.compare("cor33", {"n": n, "k": list(ks), "m": list(ms)},
+                                    lhs, rhs, quad.target_abs_err)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +690,7 @@ def g_a_numeric(a, z, M: int | None = None, quad: QuadratureConfig | None = None
 
             symmetric = ac.imag == 0 and zc.imag == 0
             edges = _geometric_edges(mp.mpf(1) / 2, T)
-            val, qerr = _integrate_line(integrand, integrand, edges, quad, symmetric)
+            val, qerr = _integrate_line(integrand, integrand, edges, target, symmetric)
             upward = 1j * val
             tail = 3 * _end_samples(integrand, integrand, T, symmetric) * 2 / mp.pi
             integral = ComplexVal(upward / (mp.pi * 1j), (qerr + tail) / mp.pi)
@@ -827,11 +764,9 @@ def verify_thm11(a, h: int, k: int, quad: QuadratureConfig | None = None,
             raise DomainError(f"unknown psi_route {psi_route!r}")
         zma = specfn.riemann_zeta(-ac, cfg)
         rhs = ComplexVal(-1j) * zma * psi
-        residual = lhs - rhs
-        budget = float(residual.abs_err + mp.mpf(quad.target_abs_err))
-        return VerifyResult(
+        return VerifyResult.compare(
             "thm11", {"a": str(a), "h": h, "k": k, "psi_route": psi_route},
-            lhs, rhs, residual, budget)
+            lhs, rhs, quad.target_abs_err)
 
 
 def verify_eisenstein_period(n: int, z, cfg: PrecisionConfig | None = None) -> VerifyResult:
@@ -848,10 +783,8 @@ def verify_eisenstein_period(n: int, z, cfg: PrecisionConfig | None = None) -> V
         e_at_z = specfn.eisenstein_E(-n, zc, None, cfg)
         e_at_inv = specfn.eisenstein_E(-n, -1 / zc, None, cfg)
         rhs = e_at_z - ComplexVal(zc ** (n - 1)) * e_at_inv
-        residual = lhs - rhs
-        budget = float(residual.abs_err + mp.mpf(cfg.target_abs_err))
-        return VerifyResult("eisenstein-period", {"n": n, "z": str(z)},
-                            lhs, rhs, residual, budget)
+        return VerifyResult.compare("eisenstein-period", {"n": n, "z": str(z)},
+                                    lhs, rhs, cfg.target_abs_err)
 
 
 def verify_thm14_cross(n: int, z=1, M: int | None = None,
@@ -865,10 +798,8 @@ def verify_thm14_cross(n: int, z=1, M: int | None = None,
     with mp.workdps(cfg.working_digits + 10):
         lhs = exact.g_polynomial(n).evaluate(z, cfg)
         rhs = g_a_numeric(-n, z, M, quad, cfg)
-        residual = lhs - rhs
-        budget = float(residual.abs_err + mp.mpf((quad or DEFAULT_QUAD).target_abs_err))
-        return VerifyResult("thm14-cross", {"n": n, "z": str(z)},
-                            lhs, rhs, residual, budget)
+        return VerifyResult.compare("thm14-cross", {"n": n, "z": str(z)}, lhs, rhs,
+                                    (quad or DEFAULT_QUAD).target_abs_err)
 
 
 def verify_dedekind_recip(h: int, k: int) -> VerifyResult:

@@ -15,6 +15,11 @@ import mpmath as mp
 from .specfn import ComplexVal
 
 
+def residual_budget(residual: ComplexVal, target) -> float:
+    """The pass threshold of a residual: its tracked error plus the target."""
+    return float(residual.abs_err + mp.mpf(target))
+
+
 @dataclass(frozen=True)
 class VerifyResult:
     """Outcome of one identity check at one parameter tuple."""
@@ -26,6 +31,13 @@ class VerifyResult:
     residual: ComplexVal
     budget: float
     details: Mapping[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def compare(cls, theorem: str, params: Mapping[str, Any], lhs: ComplexVal,
+                rhs: ComplexVal, target) -> "VerifyResult":
+        """The report on lhs = rhs: residual lhs - rhs against residual_budget."""
+        residual = lhs - rhs
+        return cls(theorem, params, lhs, rhs, residual, residual_budget(residual, target))
 
     def residual_mag(self) -> float:
         return float(self.residual.mag())

@@ -97,6 +97,14 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "dedekind-recip", "--hk-max", "8"])
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("code", ["thm13", "dedekind-recip"])
+    def test_hk_max_zero_is_a_usage_error(self, runner, code):
+        res = runner.invoke(main, ["verify", code, "--hk-max", "0"])
+        assert res.exit_code == 2
+        assert "Invalid value for '--hk-max'" in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+
     def test_cor45(self, runner):
         res = runner.invoke(main, ["verify", "cor45", "--a", "2", "--k", "4",
                                    "--q", "5"])
@@ -209,3 +217,10 @@ def test_readme_lists_every_identity_code():
     for cell in re.findall(r"^\| ([^|]+) \|", table, flags=re.M):
         codes.update(re.findall(r"`([^`]+)`", cell))
     assert codes == set(verify.commands)
+
+
+def test_readme_lists_every_global_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("Global flags:", 1)[1].split("Exit codes:", 1)[0]
+    flags = set(re.findall(r"`(--[\w-]+)", sentence))
+    assert flags == {opt for param in main.params for opt in param.opts}

@@ -1,6 +1,7 @@
 """Tests for the reciprocity verification engines."""
 
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
 import pytest
@@ -38,8 +39,6 @@ QUAD = QuadratureConfig(target_abs_err=1e-10)
 
 class TestQuadratureConfig:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(panel_rule="trapezoid")
         with pytest.raises(DomainError):
             QuadratureConfig(epsilon=-0.1)
         with pytest.raises(DomainError):
@@ -160,12 +159,6 @@ class TestLineIntegral:
         fine = line_integral_cotcot(a, h, k, QuadratureConfig(target_abs_err=1e-12), CFG)
         assert abs(coarse.val - fine.val) <= coarse.abs_err
 
-    def test_adaptive_simpson_rule(self):
-        quad = QuadratureConfig(panel_rule="adaptive_simpson", target_abs_err=1e-9)
-        with mp.workdps(40):
-            v = line_integral_cotcot(3, 1, 1, quad, CFG)
-            assert abs(v.val + 1j * mp.pi ** 3 / 15) < 1e-8
-
     def test_domain_guards(self):
         with pytest.raises(DomainError):
             line_integral_cotcot(0.5, 1, 2, QUAD, CFG)
@@ -270,6 +263,16 @@ class TestResidueMachinery:
     def test_convolution_support_is_finite(self):
         conv = convolution_at_zero(4, (2, 3), (1, 0))
         assert isinstance(conv, ExactScaled)
+
+    @pytest.mark.parametrize("ms", [(0,), (2,), (0, 1), (2, 0), (1, 0, 2), (0, 0, 0)])
+    def test_cot_index_tuples_match_brute_force(self, ms):
+        for total in range(-7, 5):
+            found = list(recip._cot_index_tuples(ms, total))
+            box = [range(-(m + 1), total + sum(ms) + len(ms) + 1) for m in ms]
+            expected = {t for t in product(*box) if sum(t) == total
+                        and all(l == -(m + 1) or l >= 0 for l, m in zip(t, ms))}
+            assert len(found) == len(set(found)), total
+            assert set(found) == expected, total
 
 
 class TestThm31:
