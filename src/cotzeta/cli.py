@@ -133,8 +133,6 @@ def _emit(manifest: RunManifest, payload: dict):
               help="Target absolute error for special-function evaluation.")
 @click.option("--quad-target-err", type=float, default=1e-10, show_default=True,
               help="Target absolute error for vertical-line quadrature.")
-@click.option("--quad-height", type=float, default=0.0, show_default=True,
-              help="Truncation height T for line integrals (0 = automatic).")
 @click.option("--epsilon", type=float, default=0.0, show_default=True,
               help="Abscissa of cotangent-product lines (0 = automatic).")
 @click.option("--format", "output_format", type=click.Choice(["json", "csv", "text"]),
@@ -144,12 +142,12 @@ def _emit(manifest: RunManifest, payload: dict):
 @click.option("--budget", "budget_override", type=float, default=None,
               help="Override the pass/fail threshold for verify commands.")
 @click.pass_context
-def main(ctx, precision_digits, target_err, quad_target_err, quad_height,
-         epsilon, output_format, out, force, budget_override):
+def main(ctx, precision_digits, target_err, quad_target_err, epsilon,
+         output_format, out, force, budget_override):
     """Cotangent-Hurwitz zeta sums: computation and identity verification."""
     try:
         precision = PrecisionConfig(precision_digits, target_err)
-        quad = QuadratureConfig(epsilon, quad_height, quad_target_err)
+        quad = QuadratureConfig(epsilon, quad_target_err)
     except CotZetaError as exc:
         raise click.UsageError(str(exc))
     ctx.obj = RunManifest("", {}, precision, quad, output_format, out, force,
@@ -295,14 +293,15 @@ def _coprime_pairs(limit: int):
 
 def _stream_reports(rows, manifest: RunManifest, **params) -> None:
     """Print one report per parameter tuple of ``rows(manifest, **params)``;
-    exit 1 if any residual exceeds its budget (or the --budget override)."""
+    exit 1 if any residual exceeds its budget (or the --budget override), 2
+    if there is no tuple, since then nothing was checked."""
     results = rows(manifest, **params)
-    all_pass = True
+    verdicts = []
     with _open_out(manifest) as stream:
         writer = None
         for res in results:
             ok = res.passes(manifest.budget_override)
-            all_pass = all_pass and ok
+            verdicts.append(ok)
             doc = res.to_json(manifest.digits(), manifest.budget_override)
             if manifest.output_format == "csv":
                 row = {
@@ -325,7 +324,9 @@ def _stream_reports(rows, manifest: RunManifest, **params) -> None:
                     f"budget={doc['budget']}\n")
             else:
                 stream.write(json.dumps(doc, sort_keys=True) + "\n")
-    sys.exit(0 if all_pass else EXIT_VERIFY_FAIL)
+    if not verdicts:
+        raise click.UsageError("the parameter sweep is empty; nothing was checked")
+    sys.exit(0 if all(verdicts) else EXIT_VERIFY_FAIL)
 
 
 def _thm13_report(n: int, h: int, k: int) -> VerifyResult:
@@ -347,6 +348,8 @@ def _thm13_report(n: int, h: int, k: int) -> VerifyResult:
 def _thm13_rows(_manifest, n, hk_max, h, k):
     if hk_max is None and (h is None or k is None):
         raise click.UsageError("need either --hk-max or both --h and --k")
+    if hk_max is not None and (h is not None or k is not None):
+        raise click.UsageError("--hk-max sweeps all pairs; it cannot be combined with --h/--k")
     pairs = [(h, k)] if hk_max is None else list(_coprime_pairs(hk_max))
     return (_thm13_report(nn, hh, kk) for nn in n for hh, kk in pairs)
 

@@ -113,8 +113,7 @@ def estermann_hurwitz(pt: EstermannPoint, cfg: PrecisionConfig | None = None) ->
             for n in range(1, q + 1):
                 tw = _e_twist(m * n * pt.x.p, q)
                 total = total + zl[m - 1] * zr[n - 1] * ComplexVal(tw)
-        pref = mp.mpc(q) ** (ac - 2 * sc)
-        return ComplexVal(pref * total.val, abs(pref) * total.abs_err)
+        return total.scaled(mp.mpc(q) ** (ac - 2 * sc))
 
 
 def estermann_nonpositive(k: int, x: RationalArg, a: int,
@@ -145,8 +144,16 @@ def estermann_nonpositive(k: int, x: RationalArg, a: int,
             const = Fraction(x.q) ** k * zz
         else:
             raise DomainError(f"unknown route {route!r}")
-        cv = mp.mpf(const.numerator) / const.denominator
+        cv = specfn._real_mpf(const)
         return ComplexVal(c.val + cv, c.abs_err + abs(cv) * mp.mpf(10) ** (-mp.mp.dps + 3))
+
+
+def _nonpositive_values(k: int, x: RationalArg, a: int, cfg: PrecisionConfig):
+    """E(-k, x, a-k) by the primary and the dual closed form and by the
+    continued Hurwitz double sum, in that order."""
+    return (estermann_nonpositive(k, x, a, cfg, route="primary"),
+            estermann_nonpositive(k, x, a, cfg, route="dual"),
+            estermann_hurwitz(EstermannPoint(s=-k, x=x, a=a - k), cfg))
 
 
 def verify_thm44(k: int, x: RationalArg, a: int,
@@ -154,14 +161,11 @@ def verify_thm44(k: int, x: RationalArg, a: int,
     """Dual-route agreement for the nonpositive-integer Estermann values,
     with the continued Hurwitz double sum as an independent reference."""
     cfg = cfg or DEFAULT_PRECISION
-    primary = estermann_nonpositive(k, x, a, cfg, route="primary")
-    dual = estermann_nonpositive(k, x, a, cfg, route="dual")
-    ref = estermann_hurwitz(EstermannPoint(s=-k, x=x, a=a - k), cfg)
+    primary, dual, ref = _nonpositive_values(k, x, a, cfg)
     with mp.workdps(cfg.working_digits + 10):
         residual_routes = primary - dual
         residual_ref = primary - ref
-        worst = residual_routes if residual_routes.mag() >= residual_ref.mag() \
-            else residual_ref
+        worst = max(residual_routes, residual_ref, key=ComplexVal.mag)
         budget = residual_budget(worst, cfg.target_abs_err)
     return VerifyResult(
         "thm44", {"k": k, "a": a, "x": str(x)}, primary, dual, worst, budget,
@@ -177,13 +181,11 @@ def verify_prop43(s: int, x: RationalArg, a: int,
     if s < 0 or a < 0:
         raise DomainError("verify_prop43 integer regime needs s, a >= 0")
     cfg = cfg or DEFAULT_PRECISION
-    ref = estermann_hurwitz(EstermannPoint(s=-s, x=x, a=a - s), cfg)
-    first = estermann_nonpositive(s, x, a, cfg, route="primary")
-    second = estermann_nonpositive(s, x, a, cfg, route="dual")
+    first, second, ref = _nonpositive_values(s, x, a, cfg)
     with mp.workdps(cfg.working_digits + 10):
         r1 = ref - first
         r2 = ref - second
-        worst = r1 if r1.mag() >= r2.mag() else r2
+        worst = max(r1, r2, key=ComplexVal.mag)
         budget = residual_budget(worst, cfg.target_abs_err)
     return VerifyResult(
         "prop43", {"s": s, "a": a, "x": str(x)}, ref, first, worst, budget,
@@ -263,7 +265,7 @@ def verify_cor45(a: int, k: int, x: RationalArg,
         diff = sums.cotangent_sum_C(a, k, x, cfg) - sums.cotangent_sum_C(k, a, x, cfg)
         pred_q = ((Fraction(x.q) ** k - Fraction(x.q) ** a)
                   * exact.zeta_neg_int(k) * exact.zeta_neg_int(a))
-        pred_v = mp.mpf(pred_q.numerator) / pred_q.denominator
+        pred_v = specfn._real_mpf(pred_q)
         pred = ComplexVal(pred_v, abs(pred_v) * mp.mpf(10) ** (-mp.mp.dps + 3))
         return VerifyResult.compare("cor45", {"a": a, "k": k, "x": str(x)},
                                     diff, pred, cfg.target_abs_err)

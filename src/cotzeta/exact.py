@@ -102,6 +102,18 @@ def zeta_neg_int(k: int, x: Rational = 1) -> Fraction:
     return -poly_eval(bernoulli_polynomial(k + 1), x) / (k + 1)
 
 
+def _require_coprime_positive(h: int, k: int, op: str):
+    if h < 1 or k < 1:
+        raise DomainError(f"{op} needs positive integers, got ({h}, {k})")
+    if gcd(h, k) != 1:
+        raise DomainError(f"{op} needs coprime arguments, got ({h}, {k})")
+
+
+def _require_odd_gt1(n: int, op: str):
+    if n <= 1 or n % 2 == 0:
+        raise DomainError(f"{op} is defined for odd n > 1 only, got n = {n}")
+
+
 def _sawtooth(x: Fraction) -> Fraction:
     if x.denominator == 1:
         return Fraction(0)
@@ -114,10 +126,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     s(h,k) = sum_{m=1}^{k-1} ((m/k)) ((mh/k)), which agrees with the cotangent
     form (1/4k) sum cot(pi m/k) cot(pi m h/k).  Requires gcd(h,k) = 1.
     """
-    if h < 1 or k < 1:
-        raise DomainError("dedekind_sum needs positive integers")
-    if gcd(h, k) != 1:
-        raise DomainError(f"dedekind_sum needs coprime arguments, got ({h}, {k})")
+    _require_coprime_positive(h, k, "dedekind_sum")
     total = Fraction(0)
     for m in range(1, k):
         total += _sawtooth(Fraction(m, k)) * _sawtooth(Fraction(m * h, k))
@@ -130,12 +139,8 @@ def apostol_sum(n: int, h: int, k: int) -> Fraction:
     B~_n is the periodic Bernoulli function.  Only odd n > 1 is admitted; the
     even-order sums are degenerate (independent of h) and have no use here.
     """
-    if n <= 1 or n % 2 == 0:
-        raise DomainError("apostol_sum is defined here for odd n > 1 only")
-    if h < 1 or k < 1:
-        raise DomainError("apostol_sum needs positive integers")
-    if gcd(h, k) != 1:
-        raise DomainError(f"apostol_sum needs coprime arguments, got ({h}, {k})")
+    _require_odd_gt1(n, "apostol_sum")
+    _require_coprime_positive(h, k, "apostol_sum")
     poly = bernoulli_polynomial(n)
     total = Fraction(0)
     for mu in range(1, k):
@@ -325,18 +330,6 @@ class PeriodPolynomial:
                              for e, c in sorted(self.coefficients.items())},
             "zeta_weight": self.zeta_weight,
         }
-
-
-def _require_coprime_positive(h: int, k: int, op: str):
-    if h < 1 or k < 1:
-        raise DomainError(f"{op} needs positive integers, got ({h}, {k})")
-    if gcd(h, k) != 1:
-        raise DomainError(f"{op} needs coprime arguments, got ({h}, {k})")
-
-
-def _require_odd_gt1(n: int, op: str):
-    if n <= 1 or n % 2 == 0:
-        raise DomainError(f"{op} is defined for odd n > 1 only, got n = {n}")
 
 
 def exact_c_minus_n(n: int, h: int, k: int) -> ExactScaled:

@@ -20,7 +20,7 @@ from math import factorial, gcd
 import mpmath as mp
 
 from . import exact, specfn, sums
-from .errors import AbscissaShiftError, DomainError, PoleError
+from .errors import AbscissaShiftError, DomainError
 from .exact import ExactScaled
 from .reports import VerifyResult
 from .specfn import ComplexVal, PrecisionConfig, DEFAULT_PRECISION
@@ -31,18 +31,17 @@ class QuadratureConfig:
     """Vertical-line quadrature parameters.
 
     ``epsilon`` is the abscissa of the cotangent-product lines (0 means half
-    of the admissible bound min 1/k_j); ``truncation_height`` caps |Im| (0
-    means derived from target_abs_err); panels use Gauss-Legendre with an
-    embedded error estimate, at an order set by target_abs_err.
+    of the admissible bound min 1/k_j).  target_abs_err sets both the
+    truncation height of each line and the order of its Gauss-Legendre
+    panels, which carry an embedded error estimate.
     """
 
     epsilon: float = 0.0
-    truncation_height: float = 0.0
     target_abs_err: float = 1e-10
 
     def __post_init__(self):
-        if self.epsilon < 0 or self.truncation_height < 0:
-            raise DomainError("epsilon and truncation_height must be >= 0")
+        if self.epsilon < 0:
+            raise DomainError("epsilon must be >= 0")
         if not self.target_abs_err > 0:
             raise DomainError("target_abs_err must be positive")
 
@@ -210,10 +209,7 @@ def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = 
         # Truncation height: make the analytic tail bound comfortably small.
         # No large floor: the height must track the target so that the
         # achieved error scales with it.
-        if quad.truncation_height:
-            T = mp.mpf(quad.truncation_height)
-        else:
-            T = max(mp.mpf(1), mp.log(60 * d / target) / rate + mp.mpf(1) / 2)
+        T = max(mp.mpf(1), mp.log(60 * d / target) / rate + mp.mpf(1) / 2)
 
         ctop = (-1j) ** d if pure_cot else mp.mpc(0)
         cbot = (1j) ** d if pure_cot else mp.mpc(0)
@@ -257,8 +253,7 @@ def line_integral_cotcot(a, h: int, k: int, quad: QuadratureConfig | None = None
     Computed with the +1 subtraction (the subtracted integrand decays like
     e^(-2 pi min(h,k)|t|) and the compensating integral vanishes for Re a > 1).
     """
-    if h < 1 or k < 1 or gcd(h, k) != 1:
-        raise DomainError("line_integral_cotcot needs coprime positive h, k")
+    exact._require_coprime_positive(h, k, "line_integral_cotcot")
     return cot_product_line_integral(a, (h, k), (0, 0), quad, cfg)
 
 
@@ -269,10 +264,8 @@ def closed_form_integral(n: int, h: int, k: int) -> ExactScaled:
 
     (zeroed B_1; immaterial since B_1 only ever multiplies a vanishing odd
     Bernoulli number)."""
-    if n <= 1 or n % 2 == 0:
-        raise DomainError("closed_form_integral is defined for odd n > 1")
-    if h < 1 or k < 1 or gcd(h, k) != 1:
-        raise DomainError("closed_form_integral needs coprime positive h, k")
+    exact._require_odd_gt1(n, "closed_form_integral")
+    exact._require_coprime_positive(h, k, "closed_form_integral")
     coeff = (Fraction(2 ** (n + 1), h * k * factorial(n + 1))
              * exact.bernoulli_convolution_at(n, h, k))
     return ExactScaled(coeff, n, n)
@@ -299,8 +292,7 @@ def verify_thm12(a, h: int, k: int, quad: QuadratureConfig | None = None,
     with I the downward cot-cot line integral."""
     cfg = cfg or DEFAULT_PRECISION
     quad = quad or DEFAULT_QUAD
-    if h < 1 or k < 1 or gcd(h, k) != 1:
-        raise DomainError("verify_thm12 needs coprime positive h, k")
+    exact._require_coprime_positive(h, k, "verify_thm12")
     with mp.workdps(cfg.working_digits + 10):
         ac = mp.mpc(a)
         if not ac.real > 1:
@@ -351,20 +343,16 @@ def laurent_coeff_zeta(l0: int, a, m0: int,
                        cfg: PrecisionConfig | None = None) -> ComplexVal:
     """Taylor coefficient of zeta^(m0)(a, z) about z = 1:
 
-        (-1)^(m0+l0) (a)^(m0+l0) zeta(a + m0 + l0) / l0!   (l0 >= 0).
+        (-1)^(m0+l0) (a)^(m0+l0) zeta(a + m0 + l0) / l0!   (l0 >= 0),
+
+    that is, the (m0 + l0)-th x-derivative of zeta(a, x) at x = 1, over l0!.
     """
     if l0 < 0:
         raise DomainError("the zeta factor has no principal part")
     cfg = cfg or DEFAULT_PRECISION
     with mp.workdps(cfg.working_digits + 10):
-        ac = mp.mpc(a)
-        if ac + m0 + l0 == 1:
-            raise PoleError("zeta pole at a + m0 + l0 = 1; shift parameters")
-        z = specfn.riemann_zeta(ac + m0 + l0, cfg)
-        fac = specfn._rising_mpc(ac, m0 + l0) / mp.factorial(l0)
-        if (m0 + l0) % 2:
-            fac = -fac
-        return ComplexVal(fac * z.val, abs(fac) * z.abs_err)
+        deriv = specfn.hurwitz_zeta_x_deriv(m0 + l0, a, 1, cfg)
+        return deriv.scaled(1 / mp.factorial(l0))
 
 
 def laurent_coeff(j: int, l: int, *, a=None, m0: int | None = None,
@@ -442,10 +430,13 @@ def residue_at_one(a, ks, ms, cfg: PrecisionConfig | None = None) -> ComplexVal:
 # ---------------------------------------------------------------------------
 
 def _multi_factor_args(ks, ms):
-    """Moduli and derivative orders (m0, m1..md) as int tuples, checked:
-    one order per modulus plus m0, none negative, moduli pairwise coprime."""
+    """Moduli and derivative orders (m0, m1..md) as int tuples, checked: at
+    least one modulus, one order per modulus plus m0, none negative, moduli
+    pairwise coprime."""
     ks = tuple(int(k) for k in ks)
     ms = tuple(int(m) for m in ms)
+    if not ks:
+        raise DomainError("need at least one cotangent modulus")
     if len(ms) != len(ks) + 1:
         raise DomainError("need derivative orders (m0, m1..md)")
     if any(m < 0 for m in ms):
@@ -521,12 +512,24 @@ def verify_thm31(a, ks, ms, quad: QuadratureConfig | None = None,
         lhs = _generalized_lhs(ac, ks, ms, cfg)
         res1 = residue_at_one(ac, ks, ms, cfg)
         integral = cot_product_line_integral(ac + ms[0], ks, ms[1:], quad, cfg)
-        pref = specfn._rising_mpc(ac, ms[0]) / (2 * mp.pi * 1j)
+        pref = exact.rising_factorial(ac, ms[0]) / (2 * mp.pi * 1j)
         if ms[0] % 2:
             pref = -pref
         rhs = -res1 + integral * ComplexVal(pref)
         return VerifyResult.compare("thm31", {"a": str(a), "k": list(ks), "m": list(ms)},
                                     lhs, rhs, quad.target_abs_err)
+
+
+def _integer_order_args(n: int, ks, ms, op: str):
+    """Checked (ks, ms) of an integer-order law (n > 1, m0 + n + d + sum(m_j)
+    odd) and the convolution sum_{l_1+..+l_d = n+m0-1} prod a_{l_j}."""
+    ks, ms = _multi_factor_args(ks, ms)
+    if n <= 1:
+        raise DomainError(f"{op} needs integer n > 1")
+    if (n + len(ks) + sum(ms)) % 2 == 0:
+        raise DomainError(
+            "parity condition violated: m0 + n + d + sum(m_j) must be odd")
+    return ks, ms, convolution_at_zero(n + ms[0], ks, ms[1:])
 
 
 def verify_thm32(n: int, ks, ms, cfg: PrecisionConfig | None = None) -> VerifyResult:
@@ -538,23 +541,14 @@ def verify_thm32(n: int, ks, ms, cfg: PrecisionConfig | None = None) -> VerifyRe
         (-1)^(m0+1) n^(m0) / 2 * sum_{l_1+..+l_d = n+m0-1} prod a_{l_j}.
     """
     cfg = cfg or DEFAULT_PRECISION
-    ks, ms = _multi_factor_args(ks, ms)
-    if n <= 1:
-        raise DomainError("verify_thm32 needs integer n > 1")
-    d = len(ks)
-    if (ms[0] + n + d + sum(ms[1:])) % 2 == 0:
-        raise DomainError(
-            "parity condition violated: m0 + n + d + sum(m_j) must be odd")
+    ks, ms, conv = _integer_order_args(n, ks, ms, "verify_thm32")
     with mp.workdps(cfg.working_digits + 10):
         lhs = _generalized_lhs(n, ks, ms, cfg)
         res1 = residue_at_one(n, ks, ms, cfg)
-        conv = convolution_at_zero(n + ms[0], ks, ms[1:])
         pref = Fraction(exact.rising_factorial(n, ms[0]), 2)
         if ms[0] % 2 == 0:
             pref = -pref
-        collapse = ComplexVal.from_exact(conv * pref, cfg) if not conv.is_zero() \
-            else ComplexVal(0, 0)
-        rhs = -res1 + collapse
+        rhs = -res1 + ComplexVal.from_exact(conv * pref, cfg)
         return VerifyResult.compare("thm32", {"n": n, "k": list(ks), "m": list(ms)},
                                     lhs, rhs, cfg.target_abs_err)
 
@@ -566,19 +560,10 @@ def verify_cor33(n: int, ks, ms, quad: QuadratureConfig | None = None,
     the integer-order law)."""
     cfg = cfg or DEFAULT_PRECISION
     quad = quad or DEFAULT_QUAD
-    ks, ms = _multi_factor_args(ks, ms)
-    if n <= 1:
-        raise DomainError("verify_cor33 needs integer n > 1")
-    d = len(ks)
-    if (ms[0] + n + d + sum(ms[1:])) % 2 == 0:
-        raise DomainError(
-            "parity condition violated: m0 + n + d + sum(m_j) must be odd")
+    ks, ms, conv = _integer_order_args(n, ks, ms, "verify_cor33")
     with mp.workdps(cfg.working_digits + 10):
         lhs = cot_product_line_integral(n + ms[0], ks, ms[1:], quad, cfg)
-        conv = convolution_at_zero(n + ms[0], ks, ms[1:])
-        rhs_exact = conv * ExactScaled(-1, 1, 1)  # times -pi i
-        rhs = ComplexVal.from_exact(rhs_exact, cfg) if not rhs_exact.is_zero() \
-            else ComplexVal(0, 0)
+        rhs = ComplexVal.from_exact(conv * ExactScaled(-1, 1, 1), cfg)  # times -pi i
         return VerifyResult.compare("cor33", {"n": n, "k": list(ks), "m": list(ms)},
                                     lhs, rhs, quad.target_abs_err)
 
@@ -664,10 +649,7 @@ def g_a_numeric(a, z, M: int | None = None, quad: QuadratureConfig | None = None
 
         cosfac = mp.cospi(ac / 2)
         target = mp.mpf(quad.target_abs_err)
-        if quad.truncation_height:
-            T = mp.mpf(quad.truncation_height)
-        else:
-            T = (2 / mp.pi) * mp.log(1 / target) + 6
+        T = (2 / mp.pi) * mp.log(1 / target) + 6
 
         if cosfac == 0:
             integral = ComplexVal(0, 0)
@@ -740,8 +722,7 @@ def verify_thm11(a, h: int, k: int, quad: QuadratureConfig | None = None,
     """
     cfg = cfg or DEFAULT_PRECISION
     quad = quad or DEFAULT_QUAD
-    if h < 1 or k < 1 or gcd(h, k) != 1:
-        raise DomainError("verify_thm11 needs coprime positive h, k")
+    exact._require_coprime_positive(h, k, "verify_thm11")
     with mp.workdps(cfg.working_digits + 15):
         ac = mp.mpc(a)
         is_odd_neg = (ac.imag == 0 and mp.isint(ac.real)
@@ -773,8 +754,7 @@ def verify_eisenstein_period(n: int, z, cfg: PrecisionConfig | None = None) -> V
     """Cross-check of the closed odd-order period polynomial against the
     q-series route: psi_{-n}(z) = E_{1-n}(z) - z^(n-1) E_{1-n}(-1/z), Im z > 0."""
     cfg = cfg or DEFAULT_PRECISION
-    if n <= 1 or n % 2 == 0:
-        raise DomainError("verify_eisenstein_period needs odd n > 1")
+    exact._require_odd_gt1(n, "verify_eisenstein_period")
     with mp.workdps(cfg.working_digits + 10):
         zc = mp.mpc(z)
         if not zc.imag > 0:
@@ -793,8 +773,7 @@ def verify_thm14_cross(n: int, z=1, M: int | None = None,
     """Cross-check of the odd-order closed polynomial for the analytic part
     against its Bernoulli-Mellin evaluation: g_{-n}(z) vs g_a_numeric(-n, z)."""
     cfg = cfg or DEFAULT_PRECISION
-    if n <= 1 or n % 2 == 0:
-        raise DomainError("verify_thm14_cross needs odd n > 1")
+    exact._require_odd_gt1(n, "verify_thm14_cross")
     with mp.workdps(cfg.working_digits + 10):
         lhs = exact.g_polynomial(n).evaluate(z, cfg)
         rhs = g_a_numeric(-n, z, M, quad, cfg)
@@ -809,9 +788,9 @@ def verify_dedekind_recip(h: int, k: int) -> VerifyResult:
     rhs_q = Fraction(-1, 4) + (Fraction(h, k) + Fraction(1, h * k) + Fraction(k, h)) / 12
     diff = lhs_q - rhs_q
     with mp.workdps(30):
-        lhs = ComplexVal(mp.mpf(lhs_q.numerator) / lhs_q.denominator, 0)
-        rhs = ComplexVal(mp.mpf(rhs_q.numerator) / rhs_q.denominator, 0)
-        residual = ComplexVal(mp.mpf(diff.numerator) / diff.denominator, 0)
+        lhs = ComplexVal(specfn._real_mpf(lhs_q), 0)
+        rhs = ComplexVal(specfn._real_mpf(rhs_q), 0)
+        residual = ComplexVal(specfn._real_mpf(diff), 0)
     return VerifyResult("dedekind-recip", {"h": h, "k": k},
                         lhs, rhs, residual, 0.0,
                         details={"exact_zero": diff == 0})

@@ -146,6 +146,10 @@ class ComplexVal:
             err = self.abs_err / abs(o.val) + abs(v) * o.abs_err / abs(o.val)
             return ComplexVal(v, err)
 
+    def scaled(self, factor) -> "ComplexVal":
+        """factor * self with error |factor| * abs_err, at the caller's precision."""
+        return ComplexVal(factor * self.val, abs(factor) * self.abs_err)
+
     def conjugate(self) -> "ComplexVal":
         with mp.workdps(_OP_DPS):
             return ComplexVal(mp.mpc(self.val.real, -self.val.imag), self.abs_err)
@@ -163,22 +167,8 @@ class ComplexVal:
             return f"ComplexVal({mp.nstr(self.val, 12)}, abs_err={mp.nstr(self.abs_err, 3)})"
 
 
-def _is_int(v) -> bool:
-    with mp.workdps(_OP_DPS):
-        c = mp.mpc(v)
-        return c.imag == 0 and mp.isint(c.real)
-
-
 def _bern_mpf(n: int) -> mp.mpf:
-    b = exact.bernoulli_number(n)
-    return mp.mpf(b.numerator) / b.denominator
-
-
-def _rising_mpc(s, m: int):
-    r = mp.mpc(1)
-    for l in range(m):
-        r *= s + l
-    return r
+    return _real_mpf(exact.bernoulli_number(n))
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +225,14 @@ def hurwitz_zeta(s, x, cfg: PrecisionConfig | None = None) -> ComplexVal:
             w2 = w * w
             while True:
                 r += 1
-                term = _bern_mpf(2 * r) / mp.factorial(2 * r) * _rising_mpc(sc_w, 2 * r - 1) * wpow
+                term = (_bern_mpf(2 * r) / mp.factorial(2 * r)
+                        * exact.rising_factorial(sc_w, 2 * r - 1) * wpow)
                 total += term
                 magsum += abs(term)
                 if sigma + 2 * r + 1 > 0:
                     nxt = (abs(_bern_mpf(2 * r + 2)) / mp.factorial(2 * r + 2)
-                           * abs(_rising_mpc(sc_w, 2 * r + 1)) * abs(w) ** (-sigma - 2 * r - 1))
+                           * abs(exact.rising_factorial(sc_w, 2 * r + 1))
+                           * abs(w) ** (-sigma - 2 * r - 1))
                     bound = nxt * abs(sc_w + 2 * r + 1) / (sigma + 2 * r + 1)
                     if bound <= target:
                         break
@@ -281,13 +273,10 @@ def hurwitz_zeta_x_deriv(m: int, s, x, cfg: PrecisionConfig | None = None) -> Co
         return hurwitz_zeta(s, x, cfg)
     with mp.workdps(cfg.working_digits + 10):
         sc = mp.mpc(s)
-        if sc + m == 1:
-            raise PoleError("hurwitz_zeta_x_deriv hits the zeta pole at s+m = 1")
-        factor = _rising_mpc(sc, m)
+        factor = exact.rising_factorial(sc, m)
         if m % 2:
             factor = -factor
-        z = hurwitz_zeta(sc + m, x, cfg)
-        return ComplexVal(factor * z.val, abs(factor) * z.abs_err)
+        return hurwitz_zeta(sc + m, x, cfg).scaled(factor)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +347,11 @@ def complex_gamma(s, cfg: PrecisionConfig | None = None) -> ComplexVal:
 
 
 def polygamma(n: int, x, cfg: PrecisionConfig | None = None) -> ComplexVal:
-    """Polygamma Psi^(n)(x) = (-1)^(n+1) n! zeta(n+1, x) for integer n >= 1, x > 0."""
+    """Polygamma Psi^(n)(x) = (-1)^(n+1) n! zeta(n+1, x) for integer n >= 1, x > 0,
+    the (n-1)-th x-derivative of zeta(2, x) since n! = (2)^(n-1)."""
     if n < 1:
         raise DomainError("polygamma order must be a positive integer")
-    cfg = cfg or DEFAULT_PRECISION
-    z = hurwitz_zeta(n + 1, x, cfg)
-    sign = 1 if n % 2 else -1
-    with mp.workdps(cfg.working_digits + 10):
-        f = sign * mp.factorial(n)
-        return ComplexVal(f * z.val, abs(f) * z.abs_err)
+    return hurwitz_zeta_x_deriv(n - 1, 2, x, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +497,7 @@ def _lerch_series_accelerated(sc, zc, lamc, cfg: PrecisionConfig) -> ComplexVal:
                 magsum += abs(stepfac * diffs[0])
                 stepfac *= lam_over
                 J = i + 1
-                rem = (max(c_step, mp.mpf(1)) ** J * abs(_rising_mpc(sc, J))
+                rem = (max(c_step, mp.mpf(1)) ** J * abs(exact.rising_factorial(sc, J))
                        * (N + x0) ** (1 - sigma - J) / (sigma + J - 1) * argslack)
                 if rem <= target:
                     bound = rem

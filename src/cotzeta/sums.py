@@ -124,8 +124,7 @@ def bc_sum_general(spec: BCSumSpec, cfg: PrecisionConfig | None = None) -> Compl
             for kj, mj in zip(spec.ks, spec.ms[1:]):
                 term = term * specfn.cot_derivative(mj, mp.pi * kj * l / mp.mpf(k0), cfg)
             total = total + term
-        prefac = mp.mpc(k0) ** ac
-        return ComplexVal(prefac * total.val, abs(prefac) * total.abs_err)
+        return total.scaled(mp.mpc(k0) ** ac)
 
 
 def bc_sum(a, h: int, k: int, cfg: PrecisionConfig | None = None) -> ComplexVal:
@@ -138,10 +137,7 @@ def bc_sum(a, h: int, k: int, cfg: PrecisionConfig | None = None) -> ComplexVal:
         return -bc_sum(a, -h, k, cfg)
     if h == 0:
         raise DomainError("bc_sum needs a nonzero numerator")
-    if k < 1:
-        raise DomainError("bc_sum needs k >= 1")
-    if gcd(h, k) != 1:
-        raise DomainError(f"bc_sum needs coprime arguments, got ({h}, {k})")
+    exact._require_coprime_positive(h, k, "bc_sum")
     if k == 1:
         return ComplexVal(0, 0)
     spec = BCSumSpec(a=a, k0=k, ks=(h,), ms=(0, 0))
@@ -185,8 +181,7 @@ def cotangent_sum_C(a: int, k: int, x: RationalArg,
             term = phi * ComplexVal(lam * zeta_exact,
                                     abs(zeta_exact) * mp.mpf(10) ** (-wp + 3))
             total = total + term
-        pref = mp.mpf(q) ** a
-        return ComplexVal(pref * total.val, pref * total.abs_err)
+        return total.scaled(mp.mpf(q) ** a)
 
 
 def cotangent_sum_C_trig(a: int, k: int, x: RationalArg,
@@ -213,5 +208,4 @@ def cotangent_sum_C_trig(a: int, k: int, x: RationalArg,
             cd = specfn.cot_derivative(k, mp.pi * m * x.p / mp.mpf(q), cfg)
             zeta_exact = specfn._real_mpf(exact.zeta_neg_int(a, Fraction(m, q)))
             total = total + cd * zeta_exact
-        pref = -mp.mpf(q) ** a / (2j) ** (k + 1)
-        return ComplexVal(pref * total.val, abs(pref) * total.abs_err)
+        return total.scaled(-mp.mpf(q) ** a / (2j) ** (k + 1))

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from cotzeta import exact
-from cotzeta.cli import main, verify
+from cotzeta.cli import INT_LIST, main, verify
 from cotzeta.exact import ExactScaled
 
 # One passing example per identity code of `czeta verify`.
@@ -102,6 +102,27 @@ class TestVerify:
         res = runner.invoke(main, ["verify", code, "--hk-max", "0"])
         assert res.exit_code == 2
         assert "Invalid value for '--hk-max'" in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+
+    def test_hk_max_with_h_k_is_a_usage_error(self, runner):
+        res = runner.invoke(main, ["verify", "thm13", "--n", "3", "--hk-max", "2",
+                                   "--h", "5", "--k", "7"])
+        assert res.exit_code == 2
+        assert "--hk-max" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("code,opt", [
+        (code, param.opts[0]) for code, cmd in sorted(verify.commands.items())
+        for param in cmd.params if param.type is INT_LIST])
+    def test_empty_int_list_is_a_usage_error(self, runner, code, opt):
+        args = VERIFY_EXAMPLES[code].split()
+        if opt in args:
+            args[args.index(opt) + 1] = ""
+        else:
+            args += [opt, ""]
+        res = runner.invoke(main, ["verify", code, *args])
+        assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
 

@@ -83,6 +83,16 @@ class TestLaurentCoefficients:
             ref = -mp.mpf("2.5") * mp.zeta(mp.mpf("3.5"))
             assert abs(v.val - ref) < mp.mpf("1e-12")
 
+    @pytest.mark.parametrize("m0", [0, 1, 2])
+    def test_zeta_factor_higher_orders(self, m0):
+        a = mp.mpc("2.5", "0.5")
+        for l0 in (2, 3, 4):
+            v = laurent_coeff_zeta(l0, a, m0, CFG)
+            with mp.workdps(40):
+                j = m0 + l0
+                ref = (-1) ** j * mp.rf(a, j) * mp.zeta(a + j) / mp.factorial(l0)
+                assert abs(v.val - ref) <= v.abs_err, (l0, m0)
+
     def test_dispatcher(self):
         assert laurent_coeff(1, -1, k=5, m=0) == laurent_coeff_cot(-1, 5, 0)
         v = laurent_coeff(0, 0, a=2.5, m0=0, cfg=CFG)
@@ -347,6 +357,15 @@ class TestCor33:
 def test_multifactor_rejects_negative_orders(verifier, ms):
     with pytest.raises(DomainError, match="derivative orders must be nonnegative"):
         verifier(ms)
+
+
+@pytest.mark.parametrize("verifier", [verify_thm31, verify_thm32, verify_cor33],
+                         ids=["thm31", "thm32", "cor33"])
+def test_multifactor_needs_a_modulus(verifier):
+    # With no cotangent factor every side of the laws is an empty sum, so
+    # the identity would pass without checking anything.
+    with pytest.raises(DomainError, match="at least one cotangent modulus"):
+        verifier(3, (), (0,))
 
 
 class TestPeriodFunctionNumeric:

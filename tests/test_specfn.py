@@ -62,6 +62,15 @@ class TestComplexVal:
         a = ComplexVal(1, 1e-10) + 5
         assert float(a.abs_err) == pytest.approx(1e-10)
 
+    def test_scaled(self):
+        a = ComplexVal(mp.mpc(1, -2), 1e-10)
+        with mp.workdps(40):
+            for factor in (mp.mpf(-3), mp.mpc(1, 1)):
+                c = a.scaled(factor)
+                assert c.val == factor * a.val
+                assert c.abs_err == abs(factor) * a.abs_err
+        assert float(a.scaled(mp.mpc(3, 4)).abs_err) == pytest.approx(5e-10, rel=1e-12)
+
     def test_rejects_bad_err(self):
         with pytest.raises(DomainError):
             ComplexVal(1, -1)
