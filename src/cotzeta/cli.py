@@ -24,7 +24,7 @@ import click
 from . import estermann, exact, recip, sums
 from .errors import CotZetaError
 from .reports import VerifyResult
-from .specfn import ComplexVal, PrecisionConfig
+from .specfn import PrecisionConfig
 from .recip import QuadratureConfig
 from .sums import RationalArg
 
@@ -106,14 +106,22 @@ def _manifest_echo(manifest: RunManifest) -> dict:
 
 @contextlib.contextmanager
 def _open_out(manifest: RunManifest):
+    """Stdout, or a temporary file beside --out that replaces it only when the
+    block completes, so a failed run leaves an existing file unchanged."""
     if manifest.out is None:
         yield sys.stdout
         return
     if os.path.exists(manifest.out) and not manifest.force:
         raise click.ClickException(
             f"refusing to overwrite {manifest.out!r} without --force")
-    with open(manifest.out, "w") as stream:
-        yield stream
+    tmp = f"{manifest.out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as stream:
+            yield stream
+        os.replace(tmp, manifest.out)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _emit(manifest: RunManifest, payload: dict):
@@ -254,15 +262,14 @@ def compute_line_integral(manifest, a, h, k):
           _opt("--a", COMPLEX),
           click.option("--s", type=COMPLEX, default=None,
                        help="series/hurwitz regime order s."),
-          _opt("--p"), _opt("--q"),
-          _opt("--route", click.Choice(["primary", "dual"]), "primary"))
-def compute_estermann(manifest, regime, k, a, s, x, route):
+          _opt("--p"), _opt("--q"))
+def compute_estermann(manifest, regime, k, a, s, x):
     if regime == "nonpositive":
         if k is None:
             raise click.UsageError("nonpositive regime needs --k")
         if a.imag or a.real != int(a.real):
             raise click.UsageError("nonpositive regime needs an integer --a")
-        val = estermann.estermann_nonpositive(k, x, int(a.real), manifest.precision, route)
+        val = estermann.estermann_nonpositive(k, x, int(a.real), manifest.precision)
     else:
         if s is None:
             raise click.UsageError(f"{regime} regime needs --s")
@@ -324,25 +331,16 @@ def _stream_reports(rows, manifest: RunManifest, **params) -> None:
                     f"budget={doc['budget']}\n")
             else:
                 stream.write(json.dumps(doc, sort_keys=True) + "\n")
-    if not verdicts:
-        raise click.UsageError("the parameter sweep is empty; nothing was checked")
+        if not verdicts:
+            raise click.UsageError("the parameter sweep is empty; nothing was checked")
     sys.exit(0 if all(verdicts) else EXIT_VERIFY_FAIL)
 
 
 def _thm13_report(n: int, h: int, k: int) -> VerifyResult:
-    """The exact odd-order law as a report.  An exact zero residual reports
-    zero on both sides; otherwise rhs is the closed form and lhs = rhs +
-    residual."""
-    params = {"n": n, "h": h, "k": k}
-    residual = exact.verify_thm13(n, h, k)
-    if residual.is_zero():
-        zero = ComplexVal(0, 0)
-        return VerifyResult("thm13", params, zero, zero, zero, 0.0,
-                            details={"exact_zero": True})
-    rhs = ComplexVal.from_exact(exact.thm13_rhs(n, h, k))
-    res = ComplexVal.from_exact(residual)
-    return VerifyResult("thm13", params, rhs + res, rhs, res, 0.0,
-                        details={"exact_zero": False})
+    """The exact odd-order law: rhs is the closed form, lhs = rhs + residual."""
+    rhs = exact.thm13_rhs(n, h, k)
+    return VerifyResult.exact("thm13", {"n": n, "h": h, "k": k},
+                              rhs + exact.verify_thm13(n, h, k), rhs)
 
 
 def _thm13_rows(_manifest, n, hk_max, h, k):

@@ -31,8 +31,7 @@ class EstermannPoint:
     a: complex
 
     def __post_init__(self):
-        if self.x.q <= 1:
-            raise DomainError("EstermannPoint needs a twist p/q with q > 1")
+        self.x.checked_twist("EstermannPoint")
 
 
 def estermann_series(pt: EstermannPoint, cfg: PrecisionConfig | None = None) -> ComplexVal:
@@ -85,8 +84,7 @@ def _zeta_factor(sval, m: int, q: int, cfg: PrecisionConfig) -> ComplexVal:
     """zeta(sval, m/q); at nonpositive integer order uses the exact Bernoulli
     polynomial closed form zeta(-j, x) = -B_{j+1}(x)/(j+1)."""
     if sval.imag == 0 and mp.isint(sval.real) and sval.real <= 0:
-        fv = specfn._real_mpf(exact.zeta_neg_int(int(-sval.real), Fraction(m, q)))
-        return ComplexVal(fv, abs(fv) * mp.mpf(10) ** (-mp.mp.dps + 3))
+        return ComplexVal.from_exact(exact.zeta_neg_int(int(-sval.real), Fraction(m, q)), cfg)
     return specfn.hurwitz_zeta(sval, mp.mpf(m) / q, cfg)
 
 
@@ -117,42 +115,29 @@ def estermann_hurwitz(pt: EstermannPoint, cfg: PrecisionConfig | None = None) ->
 
 
 def estermann_nonpositive(k: int, x: RationalArg, a: int,
-                          cfg: PrecisionConfig | None = None,
-                          route: str = "primary") -> ComplexVal:
-    """E(-k, x, a-k) for nonnegative integers a, k, via the closed forms
+                          cfg: PrecisionConfig | None = None) -> ComplexVal:
+    """E(-k, x, a-k) = C(a, k, x) + q^a zeta(-k) zeta(-a) for all integers
+    a, k >= 0, with the Lerch-transcendent definition of C (the k = 0 instance
+    carries the full q^a factor; the constant -zeta(-a)/2 variant belongs to
+    the bare cotangent sum).
 
-        primary:  C(a, k, x) + q^a zeta(-k) zeta(-a)
-        dual:     C(k, a, x) + q^k zeta(-k) zeta(-a)
-
-    Both hold for all a, k >= 0 with the Lerch-transcendent definition of C
-    (the k = 0 instance of the primary display carries the full q^a factor;
-    the constant -zeta(-a)/2 variant belongs to the bare cotangent sum).  The
-    two routes cross-validate each other.
+    As sigma_{a-k}(n) n^k = sigma_{k-a}(n) n^a, E(-k, x, a-k) = E(-a, x, k-a):
+    exchanging a and k gives the dual display C(k, a, x) + q^k zeta(-k) zeta(-a).
     """
     if k < 0 or a < 0:
         raise DomainError("estermann_nonpositive needs nonnegative integers")
-    if x.q <= 1:
-        raise DomainError("estermann_nonpositive needs q > 1")
+    x.checked_twist("estermann_nonpositive")
     cfg = cfg or DEFAULT_PRECISION
     with mp.workdps(cfg.working_digits + 10):
-        zz = exact.zeta_neg_int(k) * exact.zeta_neg_int(a)
-        if route == "primary":
-            c = sums.cotangent_sum_C(a, k, x, cfg)
-            const = Fraction(x.q) ** a * zz
-        elif route == "dual":
-            c = sums.cotangent_sum_C(k, a, x, cfg)
-            const = Fraction(x.q) ** k * zz
-        else:
-            raise DomainError(f"unknown route {route!r}")
-        cv = specfn._real_mpf(const)
-        return ComplexVal(c.val + cv, c.abs_err + abs(cv) * mp.mpf(10) ** (-mp.mp.dps + 3))
+        const = Fraction(x.q) ** a * exact.zeta_neg_int(k) * exact.zeta_neg_int(a)
+        return sums.cotangent_sum_C(a, k, x, cfg) + ComplexVal.from_exact(const, cfg)
 
 
 def _nonpositive_values(k: int, x: RationalArg, a: int, cfg: PrecisionConfig):
-    """E(-k, x, a-k) by the primary and the dual closed form and by the
-    continued Hurwitz double sum, in that order."""
-    return (estermann_nonpositive(k, x, a, cfg, route="primary"),
-            estermann_nonpositive(k, x, a, cfg, route="dual"),
+    """E(-k, x, a-k) by the primary display, by the dual display (the primary
+    one with a and k exchanged) and by the continued Hurwitz double sum."""
+    return (estermann_nonpositive(k, x, a, cfg),
+            estermann_nonpositive(a, x, k, cfg),
             estermann_hurwitz(EstermannPoint(s=-k, x=x, a=a - k), cfg))
 
 
@@ -233,19 +218,15 @@ def verify_lemma41(k: int, x: RationalArg,
     cotangent-derivative polynomials)."""
     if k < 1:
         raise DomainError("verify_lemma41 needs k >= 1")
-    if x.q <= 1:
-        raise DomainError("verify_lemma41 needs a twist p/q with q > 1")
+    x.checked_twist("verify_lemma41")
     cfg = cfg or DEFAULT_PRECISION
     with mp.workdps(cfg.working_digits + 10):
         lam = _e_twist(x.p, x.q)
         lhs = specfn.apostol_bernoulli(k, 0, lam, cfg)
         theta = mp.pi * x.p / mp.mpf(x.q)
+        rhs = specfn.cot_derivative(k - 1, theta, cfg) * ComplexVal(mp.mpf(k) / (2j) ** k)
         if k == 1:
-            rhs_val = mp.cot(theta) / 2j - mp.mpf(1) / 2
-            rhs = ComplexVal(rhs_val, abs(rhs_val) * mp.mpf(10) ** (-mp.mp.dps + 3))
-        else:
-            cd = specfn.cot_derivative(k - 1, theta, cfg)
-            rhs = cd * ComplexVal(mp.mpf(k) / (2j) ** k)
+            rhs = rhs - 0.5
         return VerifyResult.compare("lemma41", {"k": k, "x": str(x)}, lhs, rhs,
                                     cfg.target_abs_err)
 
@@ -263,9 +244,7 @@ def verify_cor45(a: int, k: int, x: RationalArg,
     cfg = cfg or DEFAULT_PRECISION
     with mp.workdps(cfg.working_digits + 10):
         diff = sums.cotangent_sum_C(a, k, x, cfg) - sums.cotangent_sum_C(k, a, x, cfg)
-        pred_q = ((Fraction(x.q) ** k - Fraction(x.q) ** a)
-                  * exact.zeta_neg_int(k) * exact.zeta_neg_int(a))
-        pred_v = specfn._real_mpf(pred_q)
-        pred = ComplexVal(pred_v, abs(pred_v) * mp.mpf(10) ** (-mp.mp.dps + 3))
+        pred = ComplexVal.from_exact((Fraction(x.q) ** k - Fraction(x.q) ** a)
+                                     * exact.zeta_neg_int(k) * exact.zeta_neg_int(a), cfg)
         return VerifyResult.compare("cor45", {"a": a, "k": k, "x": str(x)},
                                     diff, pred, cfg.target_abs_err)

@@ -114,23 +114,25 @@ def _require_odd_gt1(n: int, op: str):
         raise DomainError(f"{op} is defined for odd n > 1 only, got n = {n}")
 
 
-def _sawtooth(x: Fraction) -> Fraction:
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - (x.numerator // x.denominator) - Fraction(1, 2)
+def _bernoulli_moment_sum(n: int, h: int, k: int) -> Fraction:
+    """s_n(h,k) = sum_e c_e k^(-e-1) sum_{mu=1}^{k-1} mu r_mu^e, with B_n(x) =
+    sum_e c_e x^e and r_mu = h mu mod k: the loop over mu runs on integers."""
+    total = Fraction(0)
+    for e, c in enumerate(bernoulli_polynomial(n)):
+        if c:
+            moment = sum(mu * (h * mu % k) ** e for mu in range(1, k))
+            total += c * Fraction(moment, k ** (e + 1))
+    return total
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
-    """Classical Dedekind sum s(h,k) via the sawtooth formula.
+    """Classical Dedekind sum s(h,k) = sum_{m=1}^{k-1} ((m/k)) ((mh/k)).
 
-    s(h,k) = sum_{m=1}^{k-1} ((m/k)) ((mh/k)), which agrees with the cotangent
-    form (1/4k) sum cot(pi m/k) cot(pi m h/k).  Requires gcd(h,k) = 1.
+    It agrees with the cotangent form (1/4k) sum cot(pi m/k) cot(pi m h/k) and,
+    as gcd(h,k) = 1 is required, with the order-one Dedekind-Apostol sum s_1(h,k).
     """
     _require_coprime_positive(h, k, "dedekind_sum")
-    total = Fraction(0)
-    for m in range(1, k):
-        total += _sawtooth(Fraction(m, k)) * _sawtooth(Fraction(m * h, k))
-    return total
+    return _bernoulli_moment_sum(1, h, k)
 
 
 def apostol_sum(n: int, h: int, k: int) -> Fraction:
@@ -141,13 +143,7 @@ def apostol_sum(n: int, h: int, k: int) -> Fraction:
     """
     _require_odd_gt1(n, "apostol_sum")
     _require_coprime_positive(h, k, "apostol_sum")
-    poly = bernoulli_polynomial(n)
-    total = Fraction(0)
-    for mu in range(1, k):
-        x = Fraction(h * mu, k)
-        frac = x - (x.numerator // x.denominator)
-        total += Fraction(mu, k) * poly_eval(poly, frac)
-    return total
+    return _bernoulli_moment_sum(n, h, k)
 
 
 class ExactScaled:
@@ -240,10 +236,7 @@ class ExactScaled:
 
     def scale_rational_power(self, base: Rational, exponent: int) -> "ExactScaled":
         """Multiply by base**exponent (exponent may be negative)."""
-        b = Fraction(base)
-        if exponent >= 0:
-            return ExactScaled(self.coeff * b ** exponent, self.pi_power, self.i_power)
-        return ExactScaled(self.coeff / b ** (-exponent), self.pi_power, self.i_power)
+        return ExactScaled(self.coeff * Fraction(base) ** exponent, self.pi_power, self.i_power)
 
     def numeric(self, dps: int = 30):
         """The value as an mpmath mpc at roughly dps significant digits."""

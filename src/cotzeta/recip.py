@@ -784,13 +784,7 @@ def verify_thm14_cross(n: int, z=1, M: int | None = None,
 def verify_dedekind_recip(h: int, k: int) -> VerifyResult:
     """Exact classical reciprocity:
         s(h,k) + s(k,h) = -1/4 + (h/k + 1/(hk) + k/h)/12."""
-    lhs_q = exact.dedekind_sum(h, k) + exact.dedekind_sum(k, h)
-    rhs_q = Fraction(-1, 4) + (Fraction(h, k) + Fraction(1, h * k) + Fraction(k, h)) / 12
-    diff = lhs_q - rhs_q
-    with mp.workdps(30):
-        lhs = ComplexVal(specfn._real_mpf(lhs_q), 0)
-        rhs = ComplexVal(specfn._real_mpf(rhs_q), 0)
-        residual = ComplexVal(specfn._real_mpf(diff), 0)
-    return VerifyResult("dedekind-recip", {"h": h, "k": k},
-                        lhs, rhs, residual, 0.0,
-                        details={"exact_zero": diff == 0})
+    return VerifyResult.exact(
+        "dedekind-recip", {"h": h, "k": k},
+        exact.dedekind_sum(h, k) + exact.dedekind_sum(k, h),
+        Fraction(-1, 4) + (Fraction(h, k) + Fraction(1, h * k) + Fraction(k, h)) / 12)

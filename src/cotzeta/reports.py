@@ -39,6 +39,16 @@ class VerifyResult:
         residual = lhs - rhs
         return cls(theorem, params, lhs, rhs, residual, residual_budget(residual, target))
 
+    @classmethod
+    def exact(cls, theorem: str, params: Mapping[str, Any], lhs, rhs) -> "VerifyResult":
+        """The report on lhs = rhs between exact values (int, Fraction or
+        ExactScaled): the residual is exact, so the budget is 0 and
+        ``details["exact_zero"]`` records whether the identity holds."""
+        residual = lhs - rhs
+        return cls(theorem, params, ComplexVal.from_exact(lhs), ComplexVal.from_exact(rhs),
+                   ComplexVal.from_exact(residual), 0.0,
+                   details={"exact_zero": residual == 0})
+
     def residual_mag(self) -> float:
         return float(self.residual.mag())
 

@@ -83,11 +83,17 @@ class ComplexVal:
         object.__setattr__(self, "abs_err", err)
 
     @classmethod
-    def from_exact(cls, es: exact.ExactScaled, cfg: "PrecisionConfig | None" = None) -> "ComplexVal":
+    def from_exact(cls, value, cfg: "PrecisionConfig | None" = None) -> "ComplexVal":
+        """An int, Fraction or ExactScaled rounded at working_digits + 10, with
+        abs_err |value| * 10^-(working_digits + 5): the one rule by which an
+        exact value acquires an error.  Rationals skip ExactScaled's pi power."""
         cfg = cfg or DEFAULT_PRECISION
         with mp.workdps(cfg.working_digits + 10):
-            v = es.numeric(cfg.working_digits + 10)
-            return cls(v, abs(v) * mp.mpf(10) ** (-cfg.working_digits - 5))
+            if isinstance(value, exact.ExactScaled):
+                v = value.numeric(cfg.working_digits + 10)
+            else:
+                v = _real_mpf(value)
+            return cls(v, abs(v) / 10 ** (cfg.working_digits + 5))
 
     def __setattr__(self, *a):
         raise AttributeError("ComplexVal is immutable")

@@ -49,6 +49,12 @@ class RationalArg:
     def __str__(self):
         return f"{self.p}/{self.q}"
 
+    def checked_twist(self, op: str) -> "RationalArg":
+        """This argument, refused for ``op`` unless it is a proper twist (q > 1)."""
+        if self.q <= 1:
+            raise DomainError(f"{op} needs a twist p/q with q > 1, got {self}")
+        return self
+
 
 def _e_twist(numerator: int, q: int):
     """e(numerator/q) = exp(2 pi i numerator / q) at current precision."""
@@ -167,20 +173,15 @@ def cotangent_sum_C(a: int, k: int, x: RationalArg,
     """
     if a < 0 or k < 0:
         raise DomainError("cotangent_sum_C needs nonnegative integer orders")
-    if x.q <= 1:
-        raise DomainError("cotangent_sum_C needs a twist p/q with q > 1")
+    q = x.checked_twist("cotangent_sum_C").q
     cfg = cfg or DEFAULT_PRECISION
-    q = x.q
-    wp = cfg.working_digits + 10
-    with mp.workdps(wp):
+    with mp.workdps(cfg.working_digits + 10):
         total = ComplexVal(0, 0)
         for m in range(1, q):
             lam = _e_twist(m * x.p, q)
             phi = specfn.lerch_phi(-k, 1, lam, cfg)
-            zeta_exact = specfn._real_mpf(exact.zeta_neg_int(a, Fraction(m, q)))
-            term = phi * ComplexVal(lam * zeta_exact,
-                                    abs(zeta_exact) * mp.mpf(10) ** (-wp + 3))
-            total = total + term
+            zeta = ComplexVal.from_exact(exact.zeta_neg_int(a, Fraction(m, q)), cfg)
+            total = total + phi * zeta.scaled(lam)
         return total.scaled(mp.mpf(q) ** a)
 
 
@@ -197,10 +198,8 @@ def cotangent_sum_C_trig(a: int, k: int, x: RationalArg,
         raise DomainError("the trigonometric form needs derivative order k >= 1")
     if a < 0:
         raise DomainError("cotangent_sum_C_trig needs a >= 0")
-    if x.q <= 1:
-        raise DomainError("cotangent_sum_C_trig needs a twist p/q with q > 1")
+    q = x.checked_twist("cotangent_sum_C_trig").q
     cfg = cfg or DEFAULT_PRECISION
-    q = x.q
     wp = cfg.working_digits + 10
     with mp.workdps(wp):
         total = ComplexVal(0, 0)

@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from click.testing import CliRunner
 
@@ -86,6 +87,17 @@ class TestVerify:
         doc = json.loads(res.output.strip())
         assert doc["pass"] is True
 
+    def test_thm13_json_shows_both_sides(self, runner):
+        res = runner.invoke(main, ["verify", "thm13", "--n", "3", "--h", "2",
+                                   "--k", "3"])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        with mp.workdps(40):
+            closed_form = mp.nstr(exact.thm13_rhs(3, 2, 3).numeric(40).real, 28)
+        for side in ("lhs", "rhs"):
+            assert (doc[side]["re"], doc[side]["im"]) == (closed_form, "0.0")
+        assert doc["residual"] == {"re": "0.0", "im": "0.0", "abs_err": "0.0"}
+
     def test_thm13_sweep_stream(self, runner):
         res = runner.invoke(main, ["verify", "thm13", "--n", "3,5", "--hk-max", "4"])
         assert res.exit_code == 0
@@ -137,6 +149,25 @@ class TestVerify:
         assert res.exit_code == 1
         doc = json.loads(res.output.strip())
         assert doc["pass"] is False
+
+    @pytest.mark.parametrize("args", ["cor23 --n 4 --h 2 --k 3",
+                                      "thm12 --a 2.5,0.5 --h 2 --k 3"])
+    def test_failed_run_leaves_out_file_unchanged(self, runner, tmp_path, args):
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"precious\n")
+        res = runner.invoke(main, ["--out", str(out), "--force", "verify", *args.split()])
+        assert res.exit_code == 2
+        assert out.read_bytes() == b"precious\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
+    def test_failing_verdict_still_writes_out_file(self, runner, tmp_path):
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"precious\n")
+        res = runner.invoke(main, ["--out", str(out), "--force", "--budget", "-1",
+                                   "verify", "dedekind-recip", "--hk-max", "2"])
+        assert res.exit_code == 1
+        assert [json.loads(l)["pass"] for l in out.read_text().splitlines()] == [False] * 3
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 
     def test_text_format(self, runner):
         res = runner.invoke(main, ["--format", "text", "verify", "thm13",

@@ -29,6 +29,18 @@ class TestEstermannPoint:
             EstermannPoint(3, RationalArg(2, 1), 0)
 
 
+@pytest.mark.parametrize("op, call", [
+    ("EstermannPoint", lambda x: EstermannPoint(3, x, 0)),
+    ("estermann_nonpositive", lambda x: estermann_nonpositive(1, x, 2, CFG)),
+    ("verify_lemma41", lambda x: verify_lemma41(2, x, CFG)),
+    ("cotangent_sum_C", lambda x: sums.cotangent_sum_C(2, 1, x, CFG)),
+    ("cotangent_sum_C_trig", lambda x: sums.cotangent_sum_C_trig(2, 1, x, CFG)),
+])
+def test_twist_with_q_one_is_refused(op, call):
+    with pytest.raises(DomainError, match=rf"^{op} needs a twist p/q with q > 1, got 2/1$"):
+        call(RationalArg(2, 1))
+
+
 class TestSeries:
     def test_partial_sum_oracle(self):
         # Brute-force partial sums with a crude remainder window bracket the
@@ -98,8 +110,8 @@ class TestNonpositive:
         for a in range(5):
             for k in range(5):
                 for q in (2, 3, 5):
-                    p = estermann_nonpositive(k, RationalArg(1, q), a, CFG, "primary")
-                    d = estermann_nonpositive(k, RationalArg(1, q), a, CFG, "dual")
+                    p = estermann_nonpositive(k, RationalArg(1, q), a, CFG)
+                    d = estermann_nonpositive(a, RationalArg(1, q), k, CFG)
                     assert abs(p.val - d.val) <= 1e-9, (a, k, q)
 
     def test_matches_continued_hurwitz(self):
@@ -110,10 +122,6 @@ class TestNonpositive:
                 EstermannPoint(-k, RationalArg(1, q), a - k), CFG)
             v = estermann_nonpositive(k, RationalArg(1, q), a, CFG)
             assert abs(v.val - ref.val) <= 1e-12, (k, a, q)
-
-    def test_bad_route(self):
-        with pytest.raises(DomainError):
-            estermann_nonpositive(1, RationalArg(1, 2), 1, CFG, route="sideways")
 
 
 class TestThm44:

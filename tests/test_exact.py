@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cotzeta.errors import DomainError
@@ -158,6 +158,27 @@ class TestApostolSum:
     def test_rejects_non_coprime(self):
         with pytest.raises(DomainError):
             apostol_sum(3, 3, 6)
+
+
+def _sawtooth(x: Fraction) -> Fraction:
+    return Fraction(0) if x.denominator == 1 else x - x.numerator // x.denominator - Fraction(1, 2)
+
+
+@given(st.integers(2, 400).flatmap(lambda k: st.tuples(st.integers(1, k - 1), st.just(k))),
+       st.sampled_from(range(3, 12, 2)))
+def test_dedekind_type_sums_match_brute_force(hk, n):
+    # Per-term Fraction sums: the sawtooth form of s(h,k) and the periodic
+    # Bernoulli function in s_n(h,k).
+    h, k = hk
+    assume(gcd(h, k) == 1)
+    assert dedekind_sum(h, k) == sum(
+        (_sawtooth(Fraction(m, k)) * _sawtooth(Fraction(m * h, k)) for m in range(1, k)),
+        Fraction(0))
+    poly = bernoulli_polynomial(n)
+    periodic = (poly_eval(poly, x - x.numerator // x.denominator)
+                for x in (Fraction(h * mu, k) for mu in range(1, k)))
+    assert apostol_sum(n, h, k) == sum(
+        (Fraction(mu, k) * b for mu, b in enumerate(periodic, start=1)), Fraction(0))
 
 
 class TestExactScaled:

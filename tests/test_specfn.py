@@ -61,6 +61,17 @@ class TestComplexVal:
     def test_scalars_exact(self):
         a = ComplexVal(1, 1e-10) + 5
         assert float(a.abs_err) == pytest.approx(1e-10)
+        # An int, a Fraction and an ExactScaled of one value convert alike,
+        # with abs_err |value| * 10^-(working_digits + 5).
+        cfg = PrecisionConfig(35, 1e-12)
+        for value in (7, Fraction(-5, 6)):
+            forms = [ComplexVal.from_exact(v, cfg)
+                     for v in (value, Fraction(value), exact.ExactScaled(value))]
+            for c in forms:
+                assert c.val == forms[0].val and c.abs_err == forms[0].abs_err
+                assert float(c.abs_err) == pytest.approx(abs(float(value)) * 1e-40)
+                with mp.workdps(60):
+                    assert abs(c.val - mp.mpf(value.numerator) / value.denominator) <= c.abs_err
 
     def test_scaled(self):
         a = ComplexVal(mp.mpc(1, -2), 1e-10)
@@ -130,7 +141,7 @@ class TestHurwitzZeta:
         with pytest.raises(DomainError):
             hurwitz_zeta(2, -0.5, CFG)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.floats(1.2, 6), st.floats(-4, 4),
            st.integers(1, 10), st.fractions(Fraction(1, 10), 1))
     def test_partial_sum_self_consistency(self, sre, sim, J, x):
@@ -397,7 +408,7 @@ class TestDivisorSigma:
         assert abs(divisor_sigma(0, 6, CFG).val - 4) < 1e-25
         assert abs(divisor_sigma(1, 6, CFG).val - 12) < 1e-25
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(1, 60), st.integers(1, 60))
     def test_multiplicativity(self, m, n):
         from math import gcd
