@@ -111,9 +111,6 @@ def _open_out(manifest: RunManifest):
     if manifest.out is None:
         yield sys.stdout
         return
-    if os.path.exists(manifest.out) and not manifest.force:
-        raise click.ClickException(
-            f"refusing to overwrite {manifest.out!r} without --force")
     tmp = f"{manifest.out}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as stream:
@@ -173,13 +170,17 @@ def _command(group: click.Group, name: str, *options):
     """Register ``fn(manifest, **params)`` as ``group name`` with ``options``.
 
     The manifest records the command and its parameters as typed; --p/--q
-    arrive as the twist ``x = RationalArg(p, q)``; domain errors exit with
-    code 2 and a readable message.
+    arrive as the twist ``x = RationalArg(p, q)``; an existing --out without
+    --force is refused before anything is computed; refusals and domain
+    errors exit with code 2 and a readable message.
     """
     def register(fn):
         @click.pass_context
         def callback(ctx, **params):
             manifest = ctx.find_object(RunManifest)
+            if manifest.out is not None and os.path.exists(manifest.out) and not manifest.force:
+                raise click.UsageError(
+                    f"refusing to overwrite {manifest.out!r} without --force")
             manifest.command = f"{group.name}.{name}"
             manifest.params = {**params, **ctx.meta.get(_TEXT_KEY, {})}
             try:
@@ -336,20 +337,20 @@ def _stream_reports(rows, manifest: RunManifest, **params) -> None:
     sys.exit(0 if all(verdicts) else EXIT_VERIFY_FAIL)
 
 
-def _thm13_report(n: int, h: int, k: int) -> VerifyResult:
+def _thm13_report(n: int, h: int, k: int, cfg: PrecisionConfig) -> VerifyResult:
     """The exact odd-order law: rhs is the closed form, lhs = rhs + residual."""
     rhs = exact.thm13_rhs(n, h, k)
     return VerifyResult.exact("thm13", {"n": n, "h": h, "k": k},
-                              rhs + exact.verify_thm13(n, h, k), rhs)
+                              rhs + exact.verify_thm13(n, h, k), rhs, cfg)
 
 
-def _thm13_rows(_manifest, n, hk_max, h, k):
+def _thm13_rows(manifest, n, hk_max, h, k):
     if hk_max is None and (h is None or k is None):
         raise click.UsageError("need either --hk-max or both --h and --k")
     if hk_max is not None and (h is not None or k is not None):
         raise click.UsageError("--hk-max sweeps all pairs; it cannot be combined with --h/--k")
     pairs = [(h, k)] if hk_max is None else list(_coprime_pairs(hk_max))
-    return (_thm13_report(nn, hh, kk) for nn in n for hh, kk in pairs)
+    return (_thm13_report(nn, hh, kk, manifest.precision) for nn in n for hh, kk in pairs)
 
 
 def _once(verifier, *args):
@@ -369,7 +370,7 @@ VERIFY = {
                click.option("--h", type=int), click.option("--k", type=int)),
               _thm13_rows),
     "dedekind-recip": ((_opt("--hk-max", _HK_MAX, 50),),
-                       lambda m, hk_max: (recip.verify_dedekind_recip(h, k)
+                       lambda m, hk_max: (recip.verify_dedekind_recip(h, k, m.precision)
                                           for h, k in _coprime_pairs(hk_max))),
     "thm12": ((_opt("--a", COMPLEX_LIST, help="Comma-separated orders."), _H, _K),
               lambda m, a, h, k: (recip.verify_thm12(av, h, k, m.quad, m.precision)

@@ -19,7 +19,7 @@ from . import exact, specfn, sums
 from .errors import DomainError, PoleError
 from .reports import VerifyResult, residual_budget
 from .specfn import ComplexVal, PrecisionConfig, DEFAULT_PRECISION
-from .sums import RationalArg, _e_twist
+from .sums import RationalArg, _e_twist, _roots_of_unity
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,8 @@ def estermann_series(pt: EstermannPoint, cfg: PrecisionConfig | None = None) -> 
              + zeta(sigma) (N^(alpha-sigma+1)/(sigma-alpha-1) + N^(alpha-sigma)),
 
     folded into abs_err, so slow convergence shows up as an honest budget.
+    The twists e(nx) come from one table of q roots of unity, and integer
+    exponents are raised as Python ints.
     """
     cfg = cfg or DEFAULT_PRECISION
     wp = cfg.working_digits + 10
@@ -61,16 +63,20 @@ def estermann_series(pt: EstermannPoint, cfg: PrecisionConfig | None = None) -> 
                     mp.ceil((4 / target) ** (1 / decay)) + 32))
         N = max(N, 32)
         sig = specfn._sigma_prefix_mpc(ac, N)
+        roots = _roots_of_unity(pt.x.q)
+        neg_s, alpha_m1, alpha_e = (specfn._power_exponent(e)
+                                    for e in (-sc, alpha - 1, alpha))
         total = mp.mpc(0)
         magsum = mp.mpf(0)
         dsum_am1 = mp.mpf(0)
         dsum_a = mp.mpf(0)
         for n in range(1, N + 1):
-            term = sig[n - 1] * _e_twist(n * pt.x.p, pt.x.q) * mp.mpf(n) ** (-sc)
+            nf = mp.mpf(n)
+            term = sig[n - 1] * roots[n * pt.x.p % pt.x.q] * nf ** neg_s
             total += term
             magsum += abs(term)
-            dsum_am1 += mp.mpf(n) ** (alpha - 1)
-            dsum_a += mp.mpf(n) ** alpha
+            dsum_am1 += nf ** alpha_m1
+            dsum_a += nf ** alpha_e
         zs = abs(specfn.riemann_zeta(sigma, cfg).val)
         Nf = mp.mpf(N)
         tail = (Nf ** (1 - sigma) / (sigma - 1) * dsum_am1
@@ -93,10 +99,21 @@ def estermann_hurwitz(pt: EstermannPoint, cfg: PrecisionConfig | None = None) ->
 
         E(s, x, a) = q^(a-2s) sum_{m,n=1..q} e(mnx) zeta(s-a, m/q) zeta(s, n/q)
 
-    valid for s != 1 and s != a + 1 (the two zeta poles)."""
+    valid for s != 1 and s != a + 1 (the two zeta poles).
+
+    With x = p/q, e(mnx) is read from one table of q roots of unity at index
+    mnp mod q, and sum_m zeta_m (sum_n e(mnx) zeta'_n) is formed by dot
+    products with exact terms, each rounded once at ComplexVal's 60-digit
+    operation precision.  Since |e(mnx)| = 1, the first-order error of the
+    term-by-term ComplexVal sum is
+
+        abs_err = |q^(a-2s)| ((sum_m |zeta_m|)(sum_n err zeta'_n)
+                              + (sum_m err zeta_m)(sum_n |zeta'_n|)),
+
+    with zeta_m = zeta(s-a, m/q) and zeta'_n = zeta(s, n/q)."""
     cfg = cfg or DEFAULT_PRECISION
     wp = cfg.working_digits + 10
-    q = pt.x.q
+    q, p = pt.x.q, pt.x.p
     with mp.workdps(wp):
         sc = mp.mpc(pt.s)
         ac = mp.mpc(pt.a)
@@ -106,12 +123,15 @@ def estermann_hurwitz(pt: EstermannPoint, cfg: PrecisionConfig | None = None) ->
             raise PoleError("estermann_hurwitz: pole at s = a + 1")
         zl = [_zeta_factor(sc - ac, m, q, cfg) for m in range(1, q + 1)]
         zr = [_zeta_factor(sc, n, q, cfg) for n in range(1, q + 1)]
-        total = ComplexVal(0, 0)
-        for m in range(1, q + 1):
-            for n in range(1, q + 1):
-                tw = _e_twist(m * n * pt.x.p, q)
-                total = total + zl[m - 1] * zr[n - 1] * ComplexVal(tw)
-        return total.scaled(mp.mpc(q) ** (ac - 2 * sc))
+        roots = _roots_of_unity(q)
+        zr_vals = [z.val for z in zr]
+        with mp.workdps(specfn._OP_DPS):
+            inner = [mp.fdot([roots[m * n * p % q] for n in range(1, q + 1)], zr_vals)
+                     for m in range(1, q + 1)]
+            total = mp.fdot([z.val for z in zl], inner)
+            err = (mp.fsum(z.mag() for z in zl) * mp.fsum(z.abs_err for z in zr)
+                   + mp.fsum(z.abs_err for z in zl) * mp.fsum(z.mag() for z in zr))
+        return ComplexVal(total, err).scaled(mp.mpc(q) ** (ac - 2 * sc))
 
 
 def estermann_nonpositive(k: int, x: RationalArg, a: int,

@@ -781,10 +781,12 @@ def verify_thm14_cross(n: int, z=1, M: int | None = None,
                                     (quad or DEFAULT_QUAD).target_abs_err)
 
 
-def verify_dedekind_recip(h: int, k: int) -> VerifyResult:
+def verify_dedekind_recip(h: int, k: int,
+                          cfg: PrecisionConfig | None = None) -> VerifyResult:
     """Exact classical reciprocity:
         s(h,k) + s(k,h) = -1/4 + (h/k + 1/(hk) + k/h)/12."""
     return VerifyResult.exact(
         "dedekind-recip", {"h": h, "k": k},
         exact.dedekind_sum(h, k) + exact.dedekind_sum(k, h),
-        Fraction(-1, 4) + (Fraction(h, k) + Fraction(1, h * k) + Fraction(k, h)) / 12)
+        Fraction(-1, 4) + (Fraction(h, k) + Fraction(1, h * k) + Fraction(k, h)) / 12,
+        cfg)

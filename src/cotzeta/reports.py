@@ -12,7 +12,7 @@ from typing import Any, Mapping
 
 import mpmath as mp
 
-from .specfn import ComplexVal
+from .specfn import ComplexVal, PrecisionConfig
 
 
 def residual_budget(residual: ComplexVal, target) -> float:
@@ -40,14 +40,16 @@ class VerifyResult:
         return cls(theorem, params, lhs, rhs, residual, residual_budget(residual, target))
 
     @classmethod
-    def exact(cls, theorem: str, params: Mapping[str, Any], lhs, rhs) -> "VerifyResult":
+    def exact(cls, theorem: str, params: Mapping[str, Any], lhs, rhs,
+              cfg: PrecisionConfig | None = None) -> "VerifyResult":
         """The report on lhs = rhs between exact values (int, Fraction or
-        ExactScaled): the residual is exact, so the budget is 0 and
-        ``details["exact_zero"]`` records whether the identity holds."""
+        ExactScaled), shown at cfg's precision: the residual is exact, so the
+        budget is 0 and ``details["exact_zero"]`` records whether the identity
+        holds."""
         residual = lhs - rhs
-        return cls(theorem, params, ComplexVal.from_exact(lhs), ComplexVal.from_exact(rhs),
-                   ComplexVal.from_exact(residual), 0.0,
-                   details={"exact_zero": residual == 0})
+        return cls(theorem, params, ComplexVal.from_exact(lhs, cfg),
+                   ComplexVal.from_exact(rhs, cfg), ComplexVal.from_exact(residual, cfg),
+                   0.0, details={"exact_zero": residual == 0})
 
     def residual_mag(self) -> float:
         return float(self.residual.mag())

@@ -568,15 +568,27 @@ def divisor_sigma(a, n: int, cfg: PrecisionConfig | None = None) -> ComplexVal:
         return ComplexVal(total, abs(total) * mp.mpf(10) ** (-wp + 4))
 
 
+def _power_exponent(z):
+    """z in the cheapest form for ``mpf ** z``: a Python int when z is a real
+    integer, an mpf when it is real, else an mpc."""
+    zc = mp.mpc(z)
+    if zc.imag != 0:
+        return zc
+    return int(zc.real) if mp.isint(zc.real) else zc.real
+
+
 def _sigma_prefix_mpc(a, N: int):
-    """[sigma_a(1), ..., sigma_a(N)] via a divisor sieve, at current precision."""
-    ac = mp.mpc(a)
-    out = [mp.mpc(0)] * (N + 1)
+    """[sigma_a(1), ..., sigma_a(N)] via a divisor sieve, at current precision:
+    mpf values for real a, mpc otherwise.  For a nonnegative integer a the
+    sieve adds exact Python integers, rounded once at the end."""
+    e = _power_exponent(a)
+    exact_ints = isinstance(e, int) and e >= 0
+    out = [0] * (N + 1)
     for d in range(1, N + 1):
-        p = mp.mpc(d) ** ac
+        p = d ** e if exact_ints else mp.mpf(d) ** e
         for m in range(d, N + 1, d):
             out[m] += p
-    return out[1:]
+    return [mp.mpf(v) for v in out[1:]] if exact_ints else out[1:]
 
 
 def eisenstein_E(a, z, truncation: int | None = None,

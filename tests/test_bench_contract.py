@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cotzeta
-from cotzeta import QuadratureConfig, cli
+from cotzeta import PrecisionConfig, QuadratureConfig, RationalArg, cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracer import NESTED_COUNTS, WRAPPED, Tracer  # noqa: E402
@@ -46,3 +46,19 @@ def test_nested_counter_counts(counter):
     with tracer.installed():
         NESTED_OPENER_CALLS[opener](getattr(getattr(cotzeta, layer), name))
     assert tracer.nested[counter] >= 1
+
+
+def test_estermann_kernels_are_traced():
+    # The twisted workload's kernels and the divisor sieve must be reached
+    # through module attributes; a ``from ... import`` of any of them would
+    # hide its span from ``--trace 1``.
+    cfg = PrecisionConfig(30, 1e-9, 2_500)
+    tracer = Tracer()
+    with tracer.installed():
+        pt = cotzeta.estermann.EstermannPoint(6, RationalArg(2, 7), 0)
+        cotzeta.estermann.estermann_series(pt, cfg)
+        cotzeta.estermann.estermann_hurwitz(pt, cfg)
+    calls = tracer.summary()["calls"]
+    for name in ("estermann.estermann_hurwitz", "estermann.estermann_series",
+                 "specfn._sigma_prefix_mpc"):
+        assert calls[name] >= 1, name

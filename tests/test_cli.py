@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 from click.testing import CliRunner
 
-from cotzeta import exact
+from cotzeta import exact, recip
 from cotzeta.cli import INT_LIST, main, verify
 from cotzeta.exact import ExactScaled
 
@@ -160,6 +160,16 @@ class TestVerify:
         assert out.read_bytes() == b"precious\n"
         assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 
+    def test_exact_reports_follow_precision_digits(self, runner):
+        res = runner.invoke(main, ["--precision-digits", "50", "verify", "dedekind-recip",
+                                   "--hk-max", "3"])
+        assert res.exit_code == 0
+        rows = {(d["params"]["h"], d["params"]["k"]): d
+                for d in map(json.loads, res.output.splitlines())}
+        with mp.workdps(60):
+            lhs = mp.mpf(rows[3, 1]["lhs"]["re"])  # s(3,1) + s(1,3) = 1/18
+            assert abs(lhs - mp.mpf(1) / 18) <= mp.mpf(1) / 18 * mp.mpf("1e-45")
+
     def test_failing_verdict_still_writes_out_file(self, runner, tmp_path):
         out = tmp_path / "r.jsonl"
         out.write_bytes(b"precious\n")
@@ -260,6 +270,25 @@ class TestTable:
         doc = json.loads(res.output)
         assert all(set(r) == {"n", "h", "k", "num", "den", "pi_pow", "i_pow"}
                    for r in doc["rows"])
+
+
+@pytest.mark.parametrize("args", [
+    "compute line-integral --a 2.5 --h 2 --k 3",
+    "verify thm12 --a 2.5 --h 2 --k 3",
+])
+def test_refused_overwrite_exits_2_before_computing(runner, tmp_path, monkeypatch, args):
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("computed before the --out check")
+
+    monkeypatch.setattr(recip, "line_integral_cotcot", must_not_run)
+    monkeypatch.setattr(recip, "verify_thm12", must_not_run)
+    out = tmp_path / "r.json"
+    out.write_bytes(b"precious\n")
+    res = runner.invoke(main, ["--out", str(out), *args.split()])
+    assert res.exit_code == 2
+    assert "refusing to overwrite" in res.output
+    assert out.read_bytes() == b"precious\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
 def test_readme_lists_every_identity_code():

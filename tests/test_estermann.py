@@ -1,7 +1,11 @@
 """Tests for Estermann zeta evaluation and the twisted-sum identities."""
 
+from math import gcd
+
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cotzeta import estermann, exact, sums
 from cotzeta.errors import DomainError, PoleError
@@ -16,7 +20,7 @@ from cotzeta.estermann import (
     verify_prop43,
     verify_thm44,
 )
-from cotzeta.specfn import PrecisionConfig
+from cotzeta.specfn import ComplexVal, PrecisionConfig
 from cotzeta.sums import RationalArg
 
 CFG = PrecisionConfig(30, 1e-12)
@@ -231,3 +235,81 @@ class TestCor45:
         for (a, k) in [(0, 3), (3, 0), (0, 0)]:
             r = verify_cor45(a, k, RationalArg(1, 3), CFG)
             assert r.residual_mag() <= 1e-9, (a, k)
+
+
+# ---------------------------------------------------------------------------
+# Property tests of both routes against an mpmath-only oracle
+# ---------------------------------------------------------------------------
+
+SERIES_CFG = PrecisionConfig(30, 1e-9, max_terms=2_000)
+
+twists = st.integers(2, 24).flatmap(
+    lambda q: st.tuples(st.integers(1, q - 1), st.just(q))).filter(
+    lambda pq: gcd(*pq) == 1)
+# Orders on a quarter grid, so integers (nonpositive ones included, where
+# _zeta_factor switches to exact Bernoulli values) are drawn often.
+quarters = st.integers(-12, 20).map(lambda n: n / 4)
+orders = st.tuples(quarters, st.sampled_from([0, 0, 0.5, -1.25])).map(
+    lambda t: complex(*t) if t[1] else t[0])
+
+
+def _double_sum_oracle(s, a, p, q):
+    """q^(a-2s) sum_{m,n=1..q} e(mnp/q) zeta(s-a, m/q) zeta(s, n/q) from
+    mpmath.zeta at 50 digits."""
+    with mp.workdps(50):
+        s, a = mp.mpc(s), mp.mpc(a)
+        zl = [mp.zeta(s - a, mp.mpf(m) / q) for m in range(1, q + 1)]
+        zr = [mp.zeta(s, mp.mpf(n) / q) for n in range(1, q + 1)]
+        total = mp.fsum(mp.expjpi(mp.mpf(2 * (m * n * p % q)) / q) * zl[m - 1] * zr[n - 1]
+                        for m in range(1, q + 1) for n in range(1, q + 1))
+        return mp.power(q, a - 2 * s) * total
+
+
+@settings(max_examples=20)
+@given(twists, orders, orders)
+def test_hurwitz_route_matches_mpmath_double_sum(pq, s, a):
+    assume(s != 1 and s - a != 1)
+    v = estermann_hurwitz(EstermannPoint(s, RationalArg(*pq), a), CFG)
+    assert abs(v.val - _double_sum_oracle(s, a, *pq)) <= v.abs_err
+
+
+@settings(max_examples=12)
+@given(twists, orders, quarters.filter(lambda d: d >= 1.5),
+       st.sampled_from([0, 0.75, -2]))
+def test_series_route_matches_mpmath_double_sum(pq, a, decay, t):
+    # Re s - Re a - 1 = decay >= 1.5; the slow points stop at max_terms with
+    # their tail in abs_err.
+    s = complex(a).real + 1 + decay + 1j * t
+    assume(s.real > 1)
+    v = estermann_series(EstermannPoint(s, RationalArg(*pq), a), SERIES_CFG)
+    assert abs(v.val - _double_sum_oracle(s, a, *pq)) <= v.abs_err
+
+
+def _chain_double_sum(pt, cfg):
+    """The double sum as a term-by-term ComplexVal chain, one e(mnx) per term:
+    the reference for estermann_hurwitz's closed-form budget."""
+    q, p = pt.x.q, pt.x.p
+    with mp.workdps(cfg.working_digits + 10):
+        sc, ac = mp.mpc(pt.s), mp.mpc(pt.a)
+        zl = [estermann._zeta_factor(sc - ac, m, q, cfg) for m in range(1, q + 1)]
+        zr = [estermann._zeta_factor(sc, n, q, cfg) for n in range(1, q + 1)]
+        total = ComplexVal(0, 0)
+        for m in range(1, q + 1):
+            for n in range(1, q + 1):
+                tw = mp.expjpi(mp.mpf(2 * m * n * p) / q)
+                total = total + zl[m - 1] * zr[n - 1] * ComplexVal(tw)
+        return total.scaled(mp.mpc(q) ** (ac - 2 * sc))
+
+
+@pytest.mark.parametrize("s, x, a", [
+    (-2, RationalArg(3, 7), 1),
+    (0, RationalArg(5, 12), 3),
+    (2.5, RationalArg(2, 5), 0.5),
+    (-1.5 + 0.5j, RationalArg(4, 9), 0.25 - 1j),
+])
+def test_hurwitz_budget_equals_complexval_chain(s, x, a):
+    pt = EstermannPoint(s, x, a)
+    new = estermann_hurwitz(pt, CFG)
+    old = _chain_double_sum(pt, CFG)
+    assert abs(new.abs_err - old.abs_err) <= old.abs_err * mp.mpf("1e-20")
+    assert abs(new.val - old.val) <= new.abs_err
