@@ -19,7 +19,7 @@ from . import exact, specfn, sums
 from .errors import DomainError, PoleError
 from .reports import VerifyResult, residual_budget
 from .specfn import ComplexVal, PrecisionConfig, DEFAULT_PRECISION
-from .sums import RationalArg, _e_twist, _roots_of_unity
+from .sums import RationalArg, _e_twist
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,9 @@ def estermann_series(pt: EstermannPoint, cfg: PrecisionConfig | None = None) -> 
              + zeta(sigma) (N^(alpha-sigma+1)/(sigma-alpha-1) + N^(alpha-sigma)),
 
     folded into abs_err, so slow convergence shows up as an honest budget.
-    The twists e(nx) come from one table of q roots of unity, and integer
-    exponents are raised as Python ints.
+    The twists e(nx) come from one table of q roots of unity (at least
+    ComplexVal's 60-digit operation precision, more when wp is higher), and
+    integer exponents are raised as Python ints.
     """
     cfg = cfg or DEFAULT_PRECISION
     wp = cfg.working_digits + 10
@@ -63,7 +64,8 @@ def estermann_series(pt: EstermannPoint, cfg: PrecisionConfig | None = None) -> 
                     mp.ceil((4 / target) ** (1 / decay)) + 32))
         N = max(N, 32)
         sig = specfn._sigma_prefix_mpc(ac, N)
-        roots = _roots_of_unity(pt.x.q)
+        with mp.workdps(max(wp, specfn._OP_DPS)):
+            roots = mp.unitroots(pt.x.q)
         neg_s, alpha_m1, alpha_e = (specfn._power_exponent(e)
                                     for e in (-sc, alpha - 1, alpha))
         total = mp.mpc(0)
@@ -103,14 +105,19 @@ def estermann_hurwitz(pt: EstermannPoint, cfg: PrecisionConfig | None = None) ->
 
     With x = p/q, e(mnx) is read from one table of q roots of unity at index
     mnp mod q, and sum_m zeta_m (sum_n e(mnx) zeta'_n) is formed by dot
-    products with exact terms, each rounded once at ComplexVal's 60-digit
-    operation precision.  Since |e(mnx)| = 1, the first-order error of the
-    term-by-term ComplexVal sum is
+    products with exact terms, each rounded once at dps = max(wp, 60), wp =
+    working_digits + 10 (60 digits is ComplexVal's operation precision).
+    Since |e(mnx)| = 1, the first-order error of the term-by-term ComplexVal
+    sum, plus a bound on that rounding, is
 
         abs_err = |q^(a-2s)| ((sum_m |zeta_m|)(sum_n err zeta'_n)
-                              + (sum_m err zeta_m)(sum_n |zeta'_n|)),
+                              + (sum_m err zeta_m)(sum_n |zeta'_n|)
+                              + (sum_m |zeta_m|)(sum_n |zeta'_n|) 10^(3-dps)),
 
-    with zeta_m = zeta(s-a, m/q) and zeta'_n = zeta(s, n/q)."""
+    with zeta_m = zeta(s-a, m/q) and zeta'_n = zeta(s, n/q).  At the default
+    30 working digits the rounding term is about 10^-22 of the rest, so the
+    budget is the ComplexVal chain's; above 50 digits it is what keeps the
+    budget a bound."""
     cfg = cfg or DEFAULT_PRECISION
     wp = cfg.working_digits + 10
     q, p = pt.x.q, pt.x.p
@@ -123,14 +130,18 @@ def estermann_hurwitz(pt: EstermannPoint, cfg: PrecisionConfig | None = None) ->
             raise PoleError("estermann_hurwitz: pole at s = a + 1")
         zl = [_zeta_factor(sc - ac, m, q, cfg) for m in range(1, q + 1)]
         zr = [_zeta_factor(sc, n, q, cfg) for n in range(1, q + 1)]
-        roots = _roots_of_unity(q)
         zr_vals = [z.val for z in zr]
-        with mp.workdps(specfn._OP_DPS):
+        dps = max(wp, specfn._OP_DPS)
+        with mp.workdps(dps):
+            roots = mp.unitroots(q)
             inner = [mp.fdot([roots[m * n * p % q] for n in range(1, q + 1)], zr_vals)
                      for m in range(1, q + 1)]
             total = mp.fdot([z.val for z in zl], inner)
-            err = (mp.fsum(z.mag() for z in zl) * mp.fsum(z.abs_err for z in zr)
-                   + mp.fsum(z.abs_err for z in zl) * mp.fsum(z.mag() for z in zr))
+            mag_l = mp.fsum(z.mag() for z in zl)
+            mag_r = mp.fsum(z.mag() for z in zr)
+            err = (mag_l * mp.fsum(z.abs_err for z in zr)
+                   + mp.fsum(z.abs_err for z in zl) * mag_r
+                   + mag_l * mag_r * mp.mpf(10) ** (3 - dps))
         return ComplexVal(total, err).scaled(mp.mpc(q) ** (ac - 2 * sc))
 
 

@@ -61,13 +61,6 @@ def _e_twist(numerator: int, q: int):
     return mp.expjpi(mp.mpf(2 * numerator) / q)
 
 
-def _roots_of_unity(q: int) -> list:
-    """[e(j/q) for j = 0..q-1] at ComplexVal's operation precision; index it
-    by numerator mod q, which is exact."""
-    with mp.workdps(specfn._OP_DPS):
-        return [_e_twist(j, q) for j in range(q)]
-
-
 @dataclass(frozen=True)
 class BCSumSpec:
     """Matrix data (a; k0 | k1..kn; m0 | m1..mn) of a generalized sum.

@@ -253,10 +253,10 @@ orders = st.tuples(quarters, st.sampled_from([0, 0, 0.5, -1.25])).map(
     lambda t: complex(*t) if t[1] else t[0])
 
 
-def _double_sum_oracle(s, a, p, q):
+def _double_sum_oracle(s, a, p, q, dps=50):
     """q^(a-2s) sum_{m,n=1..q} e(mnp/q) zeta(s-a, m/q) zeta(s, n/q) from
-    mpmath.zeta at 50 digits."""
-    with mp.workdps(50):
+    mpmath.zeta at dps digits."""
+    with mp.workdps(dps):
         s, a = mp.mpc(s), mp.mpc(a)
         zl = [mp.zeta(s - a, mp.mpf(m) / q) for m in range(1, q + 1)]
         zr = [mp.zeta(s, mp.mpf(n) / q) for n in range(1, q + 1)]
@@ -283,6 +283,22 @@ def test_series_route_matches_mpmath_double_sum(pq, a, decay, t):
     assume(s.real > 1)
     v = estermann_series(EstermannPoint(s, RationalArg(*pq), a), SERIES_CFG)
     assert abs(v.val - _double_sum_oracle(s, a, *pq)) <= v.abs_err
+
+
+@pytest.mark.parametrize("kernel", [estermann_series, estermann_hurwitz])
+@pytest.mark.parametrize("s, a, p, q", [
+    (20, 1, 1, 3),
+    (24.5 + 1j, 0.5, 2, 5),
+    (30, 2, 3, 7),
+])
+def test_routes_hold_their_budget_above_60_digits(kernel, s, a, p, q):
+    # Working precision above ComplexVal's 60 digits: the root table and the
+    # dot products must follow it, or ~1e-60 twist rounding escapes a 1e-66
+    # budget.  The oracle's double sum cancels ~40 digits, hence 150.
+    cfg = PrecisionConfig(70, 1e-65)
+    v = kernel(EstermannPoint(s, RationalArg(p, q), a), cfg)
+    assert v.abs_err < mp.mpf("1e-64")
+    assert abs(v.val - _double_sum_oracle(s, a, p, q, dps=150)) <= v.abs_err
 
 
 def _chain_double_sum(pt, cfg):
