@@ -17,7 +17,7 @@ import mpmath as mp
 
 from . import exact, specfn, sums
 from .errors import DomainError, PoleError
-from .reports import VerifyResult, residual_budget
+from .reports import VerifyResult, worst_residual
 from .specfn import ComplexVal, PrecisionConfig, DEFAULT_PRECISION
 from .sums import RationalArg, _e_twist
 
@@ -181,8 +181,7 @@ def verify_thm44(k: int, x: RationalArg, a: int,
     with mp.workdps(cfg.working_digits + 10):
         residual_routes = primary - dual
         residual_ref = primary - ref
-        worst = max(residual_routes, residual_ref, key=ComplexVal.mag)
-        budget = residual_budget(worst, cfg.target_abs_err)
+        worst, budget = worst_residual((residual_routes, residual_ref), cfg.target_abs_err)
     return VerifyResult(
         "thm44", {"k": k, "a": a, "x": str(x)}, primary, dual, worst, budget,
         details={"hurwitz_reference": ref.to_json(),
@@ -201,8 +200,7 @@ def verify_prop43(s: int, x: RationalArg, a: int,
     with mp.workdps(cfg.working_digits + 10):
         r1 = ref - first
         r2 = ref - second
-        worst = max(r1, r2, key=ComplexVal.mag)
-        budget = residual_budget(worst, cfg.target_abs_err)
+        worst, budget = worst_residual((r1, r2), cfg.target_abs_err)
     return VerifyResult(
         "prop43", {"s": s, "a": a, "x": str(x)}, ref, first, worst, budget,
         details={"first_display_residual": r1.to_json(),

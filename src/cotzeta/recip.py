@@ -32,8 +32,9 @@ class QuadratureConfig:
 
     ``epsilon`` is the abscissa of the cotangent-product lines (0 means half
     of the admissible bound min 1/k_j).  target_abs_err sets both the
-    truncation height of each line and the order of its Gauss-Legendre
-    panels, which carry an embedded error estimate.
+    truncation height of each line and the order of its Gauss-Kronrod
+    panels: K_(2n+1) gives each panel's value and 3|K - G_n| its error
+    estimate.
     """
 
     epsilon: float = 0.0
@@ -54,6 +55,19 @@ DEFAULT_QUAD = QuadratureConfig()
 # ---------------------------------------------------------------------------
 
 _gl_cache: dict = {}
+_gk_cache: dict = {}
+
+
+def _newton(step, x):
+    """Polish a root by Newton steps x -= step(x): stop once a step is at the
+    rounding level of the working precision, then take one more."""
+    tol = mp.mpf(10) ** (3 - mp.mp.dps)
+    for _ in range(100):
+        dx = step(x)
+        x -= dx
+        if abs(dx) < tol:
+            break
+    return x - step(x)
 
 
 def _legendre(n: int, x):
@@ -70,16 +84,15 @@ def _legendre_nodes(n: int):
     key = (n, mp.mp.prec)
     if key in _gl_cache:
         return _gl_cache[key]
+
+    def step(x):
+        p, dp = _legendre(n, x)
+        return p / dp
+
     nodes = []
     weights = []
     for i in range(1, n // 2 + 1):
-        x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))
-        for _ in range(100):
-            p, dp = _legendre(n, x)
-            dx = p / dp
-            x -= dx
-            if abs(dx) < mp.mpf(10) ** (-mp.mp.dps - 2):
-                break
+        x = _newton(step, mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2)))
         dp = _legendre(n, x)[1]
         w = 2 / ((1 - x * x) * dp * dp)
         nodes.extend([-x, x])
@@ -92,70 +105,129 @@ def _legendre_nodes(n: int):
     return _gl_cache[key]
 
 
-def _gl_panel(f, a, b, n):
-    nodes, weights = _legendre_nodes(n)
-    mid = (a + b) / 2
-    half = (b - a) / 2
-    acc = mp.mpc(0)
-    for x, w in zip(nodes, weights):
-        acc += w * f(mid + half * x)
-    return acc * half
+def _kronrod_beta(n: int):
+    """Recurrence coefficients beta_0..beta_2n of the Jacobi-Kronrod matrix of
+    G_n, by Laurie's algorithm (Math. Comp. 66 (1997); Gautschi's r_kronrod).
 
-
-def _integrate_edges(f, edges, target):
-    """Integrate f over consecutive [edges[i], edges[i+1]] panels.
-
-    Returns (value, error_estimate).  Gauss-Legendre panels use an embedded
-    lower-order rule for the estimate; panel order scales with log(1/target)
-    so the achieved error tracks the requested target.
+    The Legendre weight is even, so every alpha vanishes and only the beta
+    half of the algorithm is left.  The first ceil(3n/2) + 1 entries are the
+    monic Legendre ones, beta_0 = 2 and beta_k = k^2 / (4k^2 - 1).
     """
-    n_hi = max(14, int(-1.9 * mp.log10(target)) + 8)
-    n_lo = max(8, (2 * n_hi) // 3)
+    beta = [mp.mpf(2)] + [mp.mpf(k * k) / (4 * k * k - 1)
+                          for k in range(1, (3 * n + 1) // 2 + 1)]
+    beta += [mp.mpf(0)] * (2 * n + 1 - len(beta))
+    s = [mp.mpf(0)] * (n // 2 + 2)
+    t = list(s)
+    t[1] = beta[n + 1]
+    for m in range(n - 1):
+        acc = mp.mpf(0)
+        for k in range((m + 1) // 2, -1, -1):
+            acc += beta[k + n + 1] * s[k] - beta[m - k] * s[k + 1]
+            s[k + 1] = acc
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        acc = mp.mpf(0)
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - m + k
+            acc += beta[m - k] * s[j + 2] - beta[k + n + 1] * s[j + 1]
+            s[j + 1] = acc
+        if m % 2:
+            beta[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return beta
+
+
+def _kronrod_rule(n: int):
+    """Gauss-Kronrod pair G_n / K_(2n+1) on [-1, 1], cached per (n, binary
+    precision): the 2n+1 nodes in ascending order, their Kronrod weights and
+    their Gauss weights, 0 at the n+1 nodes the Kronrod rule adds.
+
+    The Jacobi-Kronrod recurrence, run to degree 2n+1, gives P_n times the
+    Stieltjes polynomial.  The added nodes, its zeros interlacing those of
+    P_n, come from Newton on the recurrence deflated by P_n, started at the
+    midpoints of the Gauss nodes' angles.  Every Kronrod weight is
+    1 / sum_k p_k(x)^2 over the orthonormal polynomials of the recurrence.
+    """
+    key = (n, mp.mp.prec)
+    if key in _gk_cache:
+        return _gk_cache[key]
+    beta = _kronrod_beta(n)
+
+    def recurrence(x):
+        """Monic pi_(2n+1)(x), its derivative, and 1 / sum_k p_k(x)^2."""
+        p0, p1, d0, d1 = 0, 1, 0, 0
+        norm, total = 1, 0
+        for b in beta:
+            norm *= b
+            total += p1 * p1 / norm
+            p0, p1, d0, d1 = p1, x * p1 - b * p0, d1, p1 + x * d1 - b * d0
+        return p1, d1, 1 / total
+
+    def step(x):
+        p, dp, _ = recurrence(x)
+        g, dg = _legendre(n, x)
+        return p * g / (dp * g - p * dg)
+
+    gauss = [(x, w) for x, w in zip(*_legendre_nodes(n)) if x >= 0]
+    angles = [mp.mpf(0)] + [mp.acos(x) for x, _ in gauss if x > 0]
+    if n % 2:
+        angles.append(mp.pi / 2)
+    added = [_newton(step, mp.cos((lo + hi) / 2)) for lo, hi in zip(angles, angles[1:])]
+    if n % 2 == 0:
+        added.append(mp.mpf(0))
+    rule = []
+    for x, wg in gauss + [(x, mp.mpf(0)) for x in added]:
+        wk = recurrence(x)[2]
+        rule.append((x, wk, wg))
+        if x:
+            rule.append((-x, wk, wg))
+    _gk_cache[key] = tuple(zip(*sorted(rule)))
+    return _gk_cache[key]
+
+
+def _integrate_edges(pair, edges, target):
+    """Integrate both components of pair over consecutive [edges[i], edges[i+1]]
+    panels and add them.
+
+    Each panel is one Gauss-Kronrod pair G_n / K_(2n+1): K_(2n+1), of degree
+    3n+1, gives the value, and 3|K - G_n| estimates its error, per component,
+    from the same 2n+1 evaluations.  n scales with log(1/target) so the
+    achieved error tracks the requested target.  Returns (value,
+    error_estimate).
+    """
+    # K_(2n+1) reaches degree 2m - 1, that of Gauss order m.
+    m = max(14, int(-1.9 * mp.log10(target)) + 8)
+    n = (2 * m) // 3
+    nodes, k_weights, g_weights = _kronrod_rule(n)
     total = mp.mpc(0)
     err = mp.mpf(0)
     for a, b in zip(edges[:-1], edges[1:]):
-        hi = _gl_panel(f, a, b, n_hi)
-        lo = _gl_panel(f, a, b, n_lo)
-        total += hi
-        # |hi - lo| estimates the low rule's error; keep a safety factor
-        # so the reported budget also covers the high rule.
-        err += 3 * abs(hi - lo)
+        mid = (a + b) / 2
+        half = (b - a) / 2
+        ups, lows = zip(*(pair(mid + half * x) for x in nodes))
+        k_up, k_low = mp.fdot(k_weights, ups), mp.fdot(k_weights, lows)
+        total += (k_up + k_low) * half
+        err += 3 * half * (abs(k_up - mp.fdot(g_weights, ups))
+                           + abs(k_low - mp.fdot(g_weights, lows)))
     return total, err
 
 
-def _integrate_line(f_lower, f_upper, edges, target, conj_symmetric: bool):
-    """Integrate over the symmetric panel edges of a vertical line, split at t = 0.
+def _integrate_line(pair, scale, T, target):
+    """Integrate a vertical line from t = -T to T, folded at t = 0.
 
-    f_upper is integrated over [0, T] and f_lower over [-T, 0]; the two may
-    differ at t = 0.  Panel order follows target, as in _integrate_edges.
-    When conj_symmetric holds, f_lower(-t) = conj f_upper(t), so the lower
-    half is the conjugate of the upper one, with the same error estimate, and
-    is not evaluated.  Returns (value, error_estimate).
+    pair(u) returns (f(u), f(-u)), the integrand at heights u and -u, so one
+    call serves both halves and can share the work they have in common; the
+    two may differ at t = 0.  Both are integrated over [0, T], on panels of
+    width ~scale near 0 that double out to T, each half with its own error
+    estimate as in _integrate_edges.  Returns (value, error_estimate).
     """
-    mid = len(edges) // 2
-    val, err = _integrate_edges(f_upper, edges[mid:], target)
-    if conj_symmetric:
-        return val + mp.conj(val), 2 * err
-    val_b, err_b = _integrate_edges(f_lower, edges[:mid + 1], target)
-    return val_b + val, err_b + err
-
-
-def _end_samples(f_lower, f_upper, T, conj_symmetric: bool):
-    """|f_lower(-T)| + |f_upper(T)|, the sampled size of both tails."""
-    top = abs(f_upper(T))
-    return 2 * top if conj_symmetric else abs(f_lower(-T)) + top
-
-
-def _geometric_edges(scale, T):
-    """Symmetric panel edges: width ~scale near 0, doubling out to T."""
     scale = mp.mpf(scale)
-    T = mp.mpf(T)
-    right = [mp.mpf(0)]
-    step = scale
-    while right[-1] < T:
-        right.append(min(right[-1] + step, T))
-        step *= 2
-    return [-e for e in reversed(right[1:])] + right
+    edges = [mp.mpf(0)]
+    while edges[-1] < T:
+        edges.append(min(edges[-1] + scale, T))
+        scale *= 2
+    return _integrate_edges(pair, edges, target)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +245,23 @@ def _auto_epsilon(quad: QuadratureConfig, ks) -> mp.mpf:
     return bound / 2
 
 
+_I = mp.mpc(0, 1)
+
+
+def _cot_multiples(z, ks):
+    """cot(pi k z) for each k in ks, Im z > 0, from one mpmath.cot: with
+    c = cot(pi z), q = e^(2 pi i z) = (c + i)/(c - i) and
+    cot(pi k z) = i (q^k + 1)/(q^k - 1) = i + 2i/(q^k - 1).
+
+    |q| < 1, so the rounding error of each value stays absolute, a small
+    multiple of the working precision, while q^k keeps away from 1 as long as
+    k Re(z) is not an integer (on the lines here 0 < k eps < 1).
+    """
+    c = mp.cot(mp.pi * z)
+    q = (c + _I) / (c - _I)
+    return [c if k == 1 else _I + 2 * _I / (q ** k - 1) for k in ks]
+
+
 def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = None,
                               cfg: PrecisionConfig | None = None) -> ComplexVal:
     """Downward integral of prod_j cot^(m_j)(pi k_j z) / z^exponent over Re z = eps.
@@ -183,10 +272,13 @@ def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = 
     (c_top - c_bot) eps^(1-s)/(1-s) is added back (zero when d is even).
     Products containing any derivative factor decay exponentially on their own.
 
-    At a real exponent only the upper half-line is evaluated: eps is real and
-    the subtracted constants are conjugates, so the integrand at eps - it is
-    the conjugate of the one at eps + it, and the lower half contributes the
-    conjugate of the upper half with the same error estimate.
+    The line is folded at t = 0 (see _integrate_line).  eps is real, the
+    cot-derivative polynomials have integer coefficients and the subtracted
+    constants are conjugates, so the cot product at eps - it, less its
+    constant, is the conjugate of the one at eps + it: it is computed once
+    per node pair, from one mpmath.cot (see _cot_multiples).  Only
+    conj(z)^(-s) is evaluated again, and at a real exponent not even that:
+    the lower half's integrand is then the conjugate of the upper one's.
     """
     cfg = cfg or DEFAULT_PRECISION
     quad = quad or DEFAULT_QUAD
@@ -213,36 +305,37 @@ def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = 
 
         ctop = (-1j) ** d if pure_cot else mp.mpc(0)
         cbot = (1j) ** d if pure_cot else mp.mpc(0)
+        polys = [specfn.cot_deriv_poly(m) for m in ms]
+        real_exponent = s.imag == 0
 
-        def make_integrand(limit):
-            def integrand(t):
-                z = eps + 1j * t
-                prod = mp.mpc(1)
-                for kj, mj in zip(ks, ms):
-                    prod *= specfn._cot_deriv_mpc(mj, mp.pi * kj * z)
-                return (prod - limit) * z ** (-s)
-            return integrand
+        def pair(u):
+            z = mp.mpc(eps, u)
+            prod = 1
+            for m, poly, c in zip(ms, polys, _cot_multiples(z, ks)):
+                prod *= poly(c) if m else c
+            # The subtracted constant differs between the half-lines when d
+            # is odd: ctop above, cbot = conj(ctop) below.
+            prod -= ctop
+            if real_exponent:
+                upper = prod * z ** (-s)
+                return upper, mp.conj(upper)
+            log_z = mp.log(z)
+            return prod * mp.exp(-s * log_z), mp.conj(prod) * mp.exp(-s * mp.conj(log_z))
 
-        f_top = make_integrand(ctop)
-        f_bot = make_integrand(cbot)
-        # The subtracted constant differs between the half-lines when d is
-        # odd, so the halves get their own closures (the shared t = 0 edge
-        # must see the right constant).  eps is real and cbot = conj(ctop),
-        # so a real exponent gives f_bot(-t) = conj f_top(t).
-        symmetric = s.imag == 0
-        val, qerr = _integrate_line(f_bot, f_top, _geometric_edges(eps, T), target, symmetric)
+        val, qerr = _integrate_line(pair, eps, T, target)
         result = -1j * val
         if pure_cot:
             comp = (ctop - cbot) * eps ** (1 - s) / (1 - s)
             result += comp
-            # Tail: each |cot -+ i| <= 2 e^(-2 pi k t) / (1 - e^(-2 pi k T)).
+            # Tail: each |cot -+ i| <= 2 e^(-2 pi k t) / (1 - e^(-2 pi k T)),
+            # and |z^(-s)| <= |z|^(-Re s) e^(|Im s| pi/2) since |arg z| < pi/2.
             damp = 1 - mp.exp(-rate * T)
             B = 1 + 2 / damp
             tail = (2 * d * B ** (d - 1) * mp.exp(-rate * T) / damp / rate
-                    / abs(eps + 1j * T) ** s.real) * 2
+                    / abs(eps + 1j * T) ** s.real) * 2 * mp.exp(abs(s.imag) * mp.pi / 2)
         else:
             # Sampled exponential-decay estimate for derivative products.
-            tail = 3 * _end_samples(f_bot, f_top, T, symmetric) / rate
+            tail = 3 * sum(map(abs, pair(T))) / rate
         return ComplexVal(result, qerr + tail)
 
 
@@ -671,10 +764,14 @@ def g_a_numeric(a, z, M: int | None = None, quad: QuadratureConfig | None = None
                         * (2 * mp.pi * zc) ** (-s))
 
             symmetric = ac.imag == 0 and zc.imag == 0
-            edges = _geometric_edges(mp.mpf(1) / 2, T)
-            val, qerr = _integrate_line(integrand, integrand, edges, target, symmetric)
+
+            def pair(t):
+                upper = integrand(t)
+                return upper, (mp.conj(upper) if symmetric else integrand(-t))
+
+            val, qerr = _integrate_line(pair, mp.mpf(1) / 2, T, target)
             upward = 1j * val
-            tail = 3 * _end_samples(integrand, integrand, T, symmetric) * 2 / mp.pi
+            tail = 3 * sum(map(abs, pair(T))) * 2 / mp.pi
             integral = ComplexVal(upward / (mp.pi * 1j), (qerr + tail) / mp.pi)
 
         total = ComplexVal(bern, bern_err) + integral

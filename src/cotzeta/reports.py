@@ -20,6 +20,13 @@ def residual_budget(residual: ComplexVal, target) -> float:
     return float(residual.abs_err + mp.mpf(target))
 
 
+def worst_residual(residuals, target) -> tuple[ComplexVal, float]:
+    """The residual with the largest |r| / residual_budget(r), with its budget,
+    so that a verdict on it fails when any residual exceeds its own budget."""
+    worst = max(residuals, key=lambda r: r.mag() / residual_budget(r, target))
+    return worst, residual_budget(worst, target)
+
+
 @dataclass(frozen=True)
 class VerifyResult:
     """Outcome of one identity check at one parameter tuple."""

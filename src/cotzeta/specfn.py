@@ -398,13 +398,6 @@ def cot_deriv_poly(m: int) -> CotDerivPolynomial:
     return CotDerivPolynomial(m + 1, _cot_poly_coeffs(m))
 
 
-def _cot_deriv_mpc(m: int, w):
-    """Raw cot^(m)(w) as mpc at the caller's working precision."""
-    if m == 0:
-        return mp.cot(w)
-    return cot_deriv_poly(m)(mp.cot(w))
-
-
 def cot_derivative(m: int, w, cfg: PrecisionConfig | None = None) -> ComplexVal:
     """m-th derivative of cot with respect to its own argument, at w.
 

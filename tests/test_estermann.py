@@ -151,6 +151,22 @@ class TestProp43:
             verify_prop43(-1, RationalArg(1, 3), 2, CFG)
 
 
+# The larger residual, 1e-6, lies well inside its own 1e-3 budget; the
+# smaller one, 1e-9, carries no error and exceeds the 1e-12 target.
+LOOSE, TIGHT, ZERO = ComplexVal(1e-6, 1e-3), ComplexVal(1e-9), ComplexVal(0)
+
+
+@pytest.mark.parametrize("verify,values", [
+    (verify_thm44, (ZERO, LOOSE, TIGHT)),   # (primary, dual, reference)
+    (verify_prop43, (LOOSE, TIGHT, ZERO)),  # (first, second, reference)
+])
+def test_each_residual_meets_its_own_budget(monkeypatch, verify, values):
+    monkeypatch.setattr(estermann, "_nonpositive_values", lambda *args: values)
+    r = verify(2, RationalArg(1, 3), 3, CFG)
+    assert r.residual_mag() < 1e-8
+    assert not r.passes()
+
+
 class TestLemma42:
     def test_trivial_twist(self):
         # n = 0 mod q makes every e(mnx) = 1 and Phi a plain Hurwitz zeta.

@@ -1,10 +1,13 @@
 """Tests for the reciprocity verification engines."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotzeta import exact, recip, specfn
 from cotzeta.errors import AbscissaShiftError, DomainError
@@ -47,6 +50,151 @@ class TestQuadratureConfig:
     def test_epsilon_admissibility(self):
         with pytest.raises(DomainError):
             line_integral_cotcot(3, 2, 3, QuadratureConfig(epsilon=0.6), CFG)
+
+
+# QUADPACK's qk15 (Piessens et al., 1983): the nonnegative nodes of K15 in
+# descending order, their K15 weights, and the G7 weights of every other node.
+QK15_NODES = ["0.991455371120812639206854697526329", "0.949107912342758524526189684047851",
+              "0.864864423359769072789712788640926", "0.741531185599394439863864773280788",
+              "0.586087235467691130294144845693013", "0.405845151377397166906606412076961",
+              "0.207784955007898467600689403773245", "0"]
+QK15_K_WEIGHTS = ["0.022935322010529224963732008058970", "0.063092092629978553290700663189204",
+                  "0.104790010322250183839876322541518", "0.140653259715525918745189590510238",
+                  "0.169004726639267902826583426598550", "0.190350578064785409913256402421014",
+                  "0.204432940075298892414161999234649", "0.209482141084727828012999174891714"]
+QK15_G_WEIGHTS = ["0.129484966168869693270611432679082", "0.279705391489276667901467771423780",
+                  "0.381830050505118944950369775488975", "0.417959183673469387755102040816327"]
+
+
+def _old_legendre_nodes(n: int):
+    """The former Newton loop, kept as the reference: it stops only once a
+    step is below 10^(-dps-2), under the rounding level, or after 100 steps."""
+    nodes, weights = [], []
+    for i in range(1, n // 2 + 1):
+        x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))
+        for _ in range(100):
+            p, dp = recip._legendre(n, x)
+            dx = p / dp
+            x -= dx
+            if abs(dx) < mp.mpf(10) ** (-mp.mp.dps - 2):
+                break
+        dp = recip._legendre(n, x)[1]
+        w = 2 / ((1 - x * x) * dp * dp)
+        nodes.extend([-x, x])
+        weights.extend([w, w])
+    if n % 2:
+        dp = recip._legendre(n, mp.mpf(0))[1]
+        nodes.append(mp.mpf(0))
+        weights.append(2 / dp / dp)
+    return nodes, weights
+
+
+def _moment_error(nodes, weights, degree):
+    """|rule(x^degree) - integral of x^degree over [-1, 1]|."""
+    exact = mp.mpf(2) / (degree + 1) if degree % 2 == 0 else 0
+    return abs(mp.fdot(weights, [x ** degree for x in nodes]) - exact)
+
+
+class TestPanelRule:
+    """The Gauss-Kronrod pair G_n / K_(2n+1) behind every panel."""
+
+    def test_newton_stops_at_the_rounding_level(self, monkeypatch):
+        steps = []
+        newton = recip._newton
+
+        def counted(step, x):
+            calls = []
+
+            def counted_step(y):
+                calls.append(1)
+                return step(y)
+            out = newton(counted_step, x)
+            steps.append(len(calls))
+            return out
+
+        monkeypatch.setattr(recip, "_newton", counted)
+        monkeypatch.setattr(recip, "_gl_cache", {})
+        monkeypatch.setattr(recip, "_gk_cache", {})
+        with mp.workdps(40):
+            for n in (18, 27):
+                nodes, weights = recip._legendre_nodes(n)
+                old_nodes, old_weights = _old_legendre_nodes(n)
+                for new, old in zip(nodes + weights, old_nodes + old_weights):
+                    assert abs(new - old) <= mp.mpf(10) ** -35
+            recip._kronrod_rule(18)
+        # Ten iterations at most, and the closing step.
+        assert 0 < max(steps) <= 11
+
+    def test_g7_k15_matches_quadpack(self):
+        with mp.workdps(40):
+            nodes, k_weights, g_weights = recip._kronrod_rule(7)
+        # The nonnegative half of the symmetric rule, in descending order.
+        half = list(zip(nodes, k_weights, g_weights))[:6:-1]
+        for (x, wk, wg), x_ref, wk_ref in zip(half, QK15_NODES, QK15_K_WEIGHTS):
+            assert abs(x - mp.mpf(x_ref)) < 1e-15
+            assert abs(wk - mp.mpf(wk_ref)) < 1e-15
+        assert all(wg == 0 for _, _, wg in half[0::2])
+        for (_, _, wg), wg_ref in zip(half[1::2], QK15_G_WEIGHTS):
+            assert abs(wg - mp.mpf(wg_ref)) < 1e-15
+
+    @pytest.mark.parametrize("n", [9, 18])
+    def test_kronrod_extension(self, n):
+        with mp.workdps(40):
+            nodes, k_weights, g_weights = recip._kronrod_rule(n)
+            gauss = dict(zip(*recip._legendre_nodes(n)))
+            assert len(nodes) == 2 * n + 1
+            assert set(gauss) <= set(nodes)
+            assert all(wg == gauss.get(x, 0) for x, wg in zip(nodes, g_weights))
+            assert all(wk > 0 for wk in k_weights)
+            for degree in range(3 * n + 2):
+                assert _moment_error(nodes, k_weights, degree) < mp.mpf(10) ** -35
+            first_even_above = 3 * n + 2 + (3 * n) % 2
+            assert _moment_error(nodes, k_weights, first_even_above) > mp.mpf(10) ** -30
+
+
+def _line_oracle(s, ks, ms):
+    """The downward line integral over Re z = 1/(2 max k) from mp.cot and
+    mp.quad alone, at 50 digits: the constant (-+i)^d that a pure cot product
+    tends to is subtracted on each half-line and its integral added back."""
+    with mp.workdps(50):
+        s = mp.mpc(s)
+        eps = mp.mpf(1) / (2 * max(ks))
+        d = len(ks)
+        ctop, cbot = ((-1j) ** d, (1j) ** d) if not any(ms) else (0, 0)
+
+        def f(t, const):
+            z = mp.mpc(eps, t)
+            prod = 1
+            for k, m in zip(ks, ms):
+                c = mp.cot(mp.pi * k * z)
+                prod *= [c, -(1 + c * c), 2 * c * (1 + c * c)][m]
+            return (prod - const) * z ** (-s)
+
+        val = (mp.quad(lambda t: f(t, cbot), [-mp.inf, -1, 0])
+               + mp.quad(lambda t: f(t, ctop), [0, 1, mp.inf]))
+        return -1j * val + (ctop - cbot) * eps ** (1 - s) / (1 - s)
+
+
+def _coprime_moduli():
+    return st.lists(st.integers(1, 7), min_size=1, max_size=3, unique=True).filter(
+        lambda ks: all(gcd(a, b) == 1 for a, b in combinations(ks, 2)))
+
+
+@st.composite
+def _line_cases(draw):
+    ks = draw(_coprime_moduli())
+    ms = draw(st.lists(st.integers(0, 2), min_size=len(ks), max_size=len(ks)))
+    re = draw(st.floats(1.2, 4))
+    im = draw(st.one_of(st.just(0.0), st.floats(0.5, 3), st.floats(-3, -0.5)))
+    return complex(re, im) if im else re, tuple(ks), tuple(ms)
+
+
+@settings(max_examples=8)
+@given(case=_line_cases(), target=st.sampled_from([1e-8, 1e-10]))
+def test_line_integral_within_its_abs_err(case, target):
+    s, ks, ms = case
+    v = cot_product_line_integral(s, ks, ms, QuadratureConfig(target_abs_err=target), CFG)
+    assert abs(v.val - _line_oracle(s, ks, ms)) <= v.abs_err
 
 
 class TestLaurentCoefficients:
@@ -177,8 +325,9 @@ class TestLineIntegral:
 
 
 class TestHalfLine:
-    """A real exponent evaluates only the upper half-line; an imaginary part
-    of 1e-40 takes the full line."""
+    """Both half-lines are integrated over [0, T] from one evaluation per node
+    pair.  A real exponent takes the lower half as the conjugate of the upper
+    one; an imaginary part of 1e-40 evaluates conj(z)^(-s) on its own."""
 
     QUAD_8 = QuadratureConfig(target_abs_err=1e-8)
 
@@ -194,26 +343,28 @@ class TestHalfLine:
         assert half.val.real == 0
 
     @staticmethod
-    def _count_calls(monkeypatch, name, call):
-        original = getattr(specfn, name)
+    def _count_calls(monkeypatch, module, name, call):
+        original = getattr(module, name)
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(specfn, name, counted)
+        monkeypatch.setattr(module, name, counted)
         value = call()
-        monkeypatch.setattr(specfn, name, original)
+        monkeypatch.setattr(module, name, original)
         return value, len(calls)
 
-    def test_real_exponent_halves_cot_evaluations(self, monkeypatch):
+    def test_complex_exponent_shares_cot_evaluations(self, monkeypatch):
+        # One mpmath.cot per node pair, whatever the exponent: the lower
+        # half-line reuses the conjugate of the upper half's cot product.
         def line(s):
             return lambda: cot_product_line_integral(s, (3, 4), (1, 0), self.QUAD_8, CFG)
-        half, n_half = self._count_calls(monkeypatch, "_cot_deriv_mpc", line(3.5))
-        full, n_full = self._count_calls(monkeypatch, "_cot_deriv_mpc", line(3.5 + 1e-40j))
-        assert 0 < n_half <= n_full / 2
-        assert abs(half.val - full.val) <= min(half.abs_err, full.abs_err)
+        real, n_real = self._count_calls(monkeypatch, mp, "cot", line(3.5))
+        cplx, n_cplx = self._count_calls(monkeypatch, mp, "cot", line(3.5 + 1e-40j))
+        assert 0 < n_real == n_cplx
+        assert abs(real.val - cplx.val) <= min(real.abs_err, cplx.abs_err)
 
     def test_real_order_halves_mellin_gamma_evaluations(self, monkeypatch):
         quad = QuadratureConfig(target_abs_err=1e-4)
@@ -221,8 +372,9 @@ class TestHalfLine:
 
         def g(a):
             return lambda: g_a_numeric(a, 1, 2, quad, cfg)
-        half, n_half = self._count_calls(monkeypatch, "complex_gamma", g(-2.5))
-        full, n_full = self._count_calls(monkeypatch, "complex_gamma", g(-2.5 + 1e-40j))
+        half, n_half = self._count_calls(monkeypatch, specfn, "complex_gamma", g(-2.5))
+        full, n_full = self._count_calls(monkeypatch, specfn, "complex_gamma",
+                                         g(-2.5 + 1e-40j))
         assert 0 < n_half <= n_full / 2
         assert abs(half.val - full.val) <= min(half.abs_err, full.abs_err)
         assert half.val.imag == 0
