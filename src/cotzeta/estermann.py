@@ -44,12 +44,21 @@ def estermann_series(pt: EstermannPoint, cfg: PrecisionConfig | None = None) -> 
              + zeta(sigma) (N^(alpha-sigma+1)/(sigma-alpha-1) + N^(alpha-sigma)),
 
     folded into abs_err, so slow convergence shows up as an honest budget.
-    The twists e(nx) come from one table of q roots of unity (at least
-    ComplexVal's 60-digit operation precision, more when wp is higher), and
-    integer exponents are raised as Python ints.
+    The terms sigma_a(n) n^(-s) are added into q residue-class sums over
+    n mod q, and the twists e(nx) enter once, as a dot product of those sums
+    with one table of q roots of unity (at least ComplexVal's 60-digit
+    operation precision, more when wp is higher).
+
+    When s and a are integers, a >= 0, every term is rational and is added
+    as a Python int in P-bit fixed point, (sigma_a(n) << P) // n^s.  P is
+    chosen so that the truncation N 2^(-P) stays below 10^(-wp), far inside
+    the rounding term magsum 10^(3-wp) since magsum >= 1 (the n = 1 term);
+    the tail's power sums are then exact, or rounded upward on the same grid
+    for the harmonic sum at a = 0.
     """
     cfg = cfg or DEFAULT_PRECISION
     wp = cfg.working_digits + 10
+    q, p = pt.x.q, pt.x.p
     with mp.workdps(wp):
         sc = mp.mpc(pt.s)
         ac = mp.mpc(pt.a)
@@ -64,27 +73,38 @@ def estermann_series(pt: EstermannPoint, cfg: PrecisionConfig | None = None) -> 
                     mp.ceil((4 / target) ** (1 / decay)) + 32))
         N = max(N, 32)
         sig = specfn._sigma_prefix_mpc(ac, N)
-        with mp.workdps(max(wp, specfn._OP_DPS)):
-            roots = mp.unitroots(pt.x.q)
         neg_s, alpha_m1, alpha_e = (specfn._power_exponent(e)
                                     for e in (-sc, alpha - 1, alpha))
-        total = mp.mpc(0)
-        magsum = mp.mpf(0)
-        dsum_am1 = mp.mpf(0)
-        dsum_a = mp.mpf(0)
-        for n in range(1, N + 1):
-            nf = mp.mpf(n)
-            term = sig[n - 1] * roots[n * pt.x.p % pt.x.q] * nf ** neg_s
-            total += term
+        # The sieve yields Python ints exactly when a is a nonnegative integer.
+        fixed = isinstance(neg_s, int) and isinstance(sig[0], int)
+        if fixed:
+            P = N.bit_length() + int(3.33 * wp) + 8  # 3.33 > log2(10)
+            one = 1 << P
+            terms = ((sig[n - 1] << P) // n ** -neg_s for n in range(1, N + 1))
+            dsum_am1, dsum_a = (
+                mp.ldexp(sum(one * n ** e if e >= 0 else -(-one // n ** -e)
+                             for n in range(1, N + 1)), -P)
+                for e in (alpha_m1, alpha_e))
+        else:
+            P = 0
+            terms = (sig[n - 1] * mp.mpf(n) ** neg_s for n in range(1, N + 1))
+            dsum_am1, dsum_a = (mp.fsum(mp.mpf(n) ** e for n in range(1, N + 1))
+                                for e in (alpha_m1, alpha_e))
+        classes = [0] * q
+        magsum = 0
+        for n, term in enumerate(terms, 1):
+            classes[n % q] += term
             magsum += abs(term)
-            dsum_am1 += nf ** alpha_m1
-            dsum_a += nf ** alpha_e
+        unit = mp.ldexp(1, -P)
+        with mp.workdps(max(wp, specfn._OP_DPS)):
+            roots = mp.unitroots(q)
+            total = mp.fdot(classes, [roots[r * p % q] for r in range(q)]) * unit
         zs = abs(specfn.riemann_zeta(sigma, cfg).val)
         Nf = mp.mpf(N)
         tail = (Nf ** (1 - sigma) / (sigma - 1) * dsum_am1
                 + Nf ** (-sigma) * dsum_a
                 + zs * (Nf ** (alpha - sigma + 1) / decay + Nf ** (alpha - sigma)))
-        rounding = magsum * mp.mpf(10) ** (-wp + 3)
+        rounding = magsum * unit * mp.mpf(10) ** (-wp + 3)
         return ComplexVal(total, tail + rounding)
 
 

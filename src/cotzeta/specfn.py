@@ -21,9 +21,15 @@ import mpmath as mp
 from . import exact
 from .errors import DomainError, PoleError, PrecisionError
 
-# ComplexVal arithmetic runs at this fixed generous precision so that wrapper
-# operations never truncate values produced at working precision.
+# ComplexVal arithmetic runs at this generous precision, or at the caller's
+# when that is higher, so that wrapper operations never truncate values
+# produced at working precision.
 _OP_DPS = 60
+
+
+def _op_precision():
+    """The context of a ComplexVal operation: max(60 digits, the caller's)."""
+    return mp.workdps(max(_OP_DPS, mp.mp.dps))
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,8 @@ class ComplexVal:
 
     Arithmetic propagates ``abs_err`` to first order.  Construct inside the
     producing computation's precision context (values keep the precision they
-    were created with); wrapper arithmetic runs at a fixed 60-digit context.
+    were created with); wrapper arithmetic runs at 60 digits, or at the
+    caller's precision when that is higher.
     """
 
     __slots__ = ("val", "abs_err")
@@ -107,7 +114,7 @@ class ComplexVal:
         return self.val.imag
 
     def mag(self) -> mp.mpf:
-        with mp.workdps(_OP_DPS):
+        with _op_precision():
             return abs(self.val)
 
     @staticmethod
@@ -117,18 +124,18 @@ class ComplexVal:
         return ComplexVal(other, 0)
 
     def __add__(self, other):
-        with mp.workdps(_OP_DPS):
+        with _op_precision():
             o = self._coerce(other)
             return ComplexVal(self.val + o.val, self.abs_err + o.abs_err)
 
     __radd__ = __add__
 
     def __neg__(self):
-        with mp.workdps(_OP_DPS):
+        with _op_precision():
             return ComplexVal(-self.val, self.abs_err)
 
     def __sub__(self, other):
-        with mp.workdps(_OP_DPS):
+        with _op_precision():
             o = self._coerce(other)
             return ComplexVal(self.val - o.val, self.abs_err + o.abs_err)
 
@@ -136,7 +143,7 @@ class ComplexVal:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        with mp.workdps(_OP_DPS):
+        with _op_precision():
             o = self._coerce(other)
             err = abs(self.val) * o.abs_err + abs(o.val) * self.abs_err
             return ComplexVal(self.val * o.val, err)
@@ -144,7 +151,7 @@ class ComplexVal:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        with mp.workdps(_OP_DPS):
+        with _op_precision():
             o = self._coerce(other)
             if o.val == 0:
                 raise ZeroDivisionError("division by zero ComplexVal")
@@ -157,7 +164,7 @@ class ComplexVal:
         return ComplexVal(factor * self.val, abs(factor) * self.abs_err)
 
     def conjugate(self) -> "ComplexVal":
-        with mp.workdps(_OP_DPS):
+        with _op_precision():
             return ComplexVal(mp.mpc(self.val.real, -self.val.imag), self.abs_err)
 
     def to_json(self, digits: int = 25) -> dict:
@@ -462,51 +469,59 @@ def _lerch_series_accelerated(sc, zc, lamc, cfg: PrecisionConfig) -> ComplexVal:
     """Direct Lerch series for Re(s) > 1 with summation-by-parts tail.
 
     Each transform step multiplies the tail by lambda/(1-lambda) and takes a
-    forward difference of (z+n)^(-s), gaining one power of n in decay.
+    forward difference of (z+n)^(-s), gaining one power of n in decay.  The
+    tail bound after J steps,
+
+        c^J |(s)_J| (N + Re z)^(1-Re s-J) / (Re s + J - 1) e^(|Im s| |arg(z+N)|),
+
+    c = max(1, |1/(1-lambda)|), fixes J before any term is summed; a twist
+    near 1 makes c large, so N doubles until some J <= 64 meets the target
+    or N passes max_terms.  The i-th difference carries up to 2^i times the
+    rounding of the values and is weighted by |1/(1-lambda)|^(i+1), so the
+    guard digits cover (2 |1/(1-lambda)|)^J and the rounding term counts
+    that growth.
     """
     target = mp.mpf(cfg.target_abs_err) / 2
     sigma = sc.real
     x0 = zc.real
+    c_step = abs(1 / (1 - lamc))
     N = max(24, int(4 * abs(sc)) + 8, int(2 * abs(zc)) + 8)
-    for _attempt in range(4):
+    while True:
         if N > cfg.max_terms:
             raise PrecisionError("lerch series shift exceeds max_terms")
-        wp = cfg.working_digits + 18
-        with mp.workdps(wp):
-            lam_over = lamc / (1 - lamc)
-            inv = 1 / (1 - lamc)
-            c_step = abs(inv)
-            argslack = mp.exp(abs(sc.imag) * abs(mp.arg(zc + N)))
-            partial = mp.mpc(0)
-            lampow = mp.mpc(1)
-            magsum = mp.mpf(0)
-            for n in range(N):
-                t = lampow * (zc + n) ** (-sc)
-                partial += t
-                magsum += abs(t)
-                lampow *= lamc
-            Jmax = 64
-            avals = [(zc + N + j) ** (-sc) for j in range(Jmax + 1)]
-            bound = None
-            acc = mp.mpc(0)
-            stepfac = lampow * inv  # lambda^N / (1 - lambda)
-            diffs = list(avals)
-            for i in range(Jmax):
-                acc += stepfac * diffs[0]
-                magsum += abs(stepfac * diffs[0])
-                stepfac *= lam_over
-                J = i + 1
-                rem = (max(c_step, mp.mpf(1)) ** J * abs(exact.rising_factorial(sc, J))
-                       * (N + x0) ** (1 - sigma - J) / (sigma + J - 1) * argslack)
-                if rem <= target:
-                    bound = rem
-                    break
-                diffs = [diffs[j + 1] - diffs[j] for j in range(len(diffs) - 1)]
-            if bound is not None:
-                rounding = magsum * mp.mpf(10) ** (-wp + 3)
-                return ComplexVal(partial + acc, bound + rounding)
+        argslack = mp.exp(abs(sc.imag) * abs(mp.arg(zc + N)))
+        rising = mp.mpc(1)
+        for J in range(1, 65):
+            rising *= sc + J - 1
+            bound = (max(c_step, 1) ** J * abs(rising) * (N + x0) ** (1 - sigma - J)
+                     / (sigma + J - 1) * argslack)
+            if bound <= target:
+                break
+        if bound <= target:
+            break
         N *= 2
-    raise PrecisionError("lerch series failed to converge within budget")
+    wp = cfg.working_digits + max(18, int(J * mp.log10(max(2 * c_step, 1))) + 4)
+    with mp.workdps(wp):
+        lam_over = lamc / (1 - lamc)
+        partial = mp.mpc(0)
+        lampow = mp.mpc(1)
+        magsum = mp.mpf(0)
+        for n in range(N):
+            t = lampow * (zc + n) ** (-sc)
+            partial += t
+            magsum += abs(t)
+            lampow *= lamc
+        diffs = [(zc + N + j) ** (-sc) for j in range(J)]
+        amax = max(abs(v) for v in diffs)
+        acc = mp.mpc(0)
+        stepfac = lampow / (1 - lamc)  # lambda^N / (1 - lambda)
+        for i in range(J):
+            acc += stepfac * diffs[0]
+            magsum += abs(stepfac) * 2 ** i * amax
+            stepfac *= lam_over
+            diffs = [diffs[j + 1] - diffs[j] for j in range(len(diffs) - 1)]
+        rounding = magsum * mp.mpf(10) ** (-wp + 3)
+        return ComplexVal(partial + acc, bound + rounding)
 
 
 def lerch_phi(s, z, lam, cfg: PrecisionConfig | None = None) -> ComplexVal:
@@ -571,9 +586,9 @@ def _power_exponent(z):
 
 
 def _sigma_prefix_mpc(a, N: int):
-    """[sigma_a(1), ..., sigma_a(N)] via a divisor sieve, at current precision:
-    mpf values for real a, mpc otherwise.  For a nonnegative integer a the
-    sieve adds exact Python integers, rounded once at the end."""
+    """[sigma_a(1), ..., sigma_a(N)] via a divisor sieve: exact Python ints
+    for a nonnegative integer a, else mpf values (real a) or mpc values at
+    current precision."""
     e = _power_exponent(a)
     exact_ints = isinstance(e, int) and e >= 0
     out = [0] * (N + 1)
@@ -581,7 +596,7 @@ def _sigma_prefix_mpc(a, N: int):
         p = d ** e if exact_ints else mp.mpf(d) ** e
         for m in range(d, N + 1, d):
             out[m] += p
-    return [mp.mpf(v) for v in out[1:]] if exact_ints else out[1:]
+    return out[1:]
 
 
 def eisenstein_E(a, z, truncation: int | None = None,

@@ -170,6 +170,16 @@ def cotangent_sum_C(a: int, k: int, x: RationalArg,
     -(2i)^-(k+1) q^a sum cot^(k)(pi m p / q) zeta(-a, m/q), and for k = 0 the
     Phi factor contributes the extra -1/2 beside the cotangent term.
     zeta(-a, m/q) is evaluated exactly through Bernoulli polynomials.
+
+    The terms m and q - m are summed together: lambda_(q-m) = conj lambda_m
+    makes w = lambda Phi(-k, 1, lambda) conjugate too, and
+    zeta(-a, 1 - y) = (-1)^(a+1) zeta(-a, y), so the pair is
+    zeta(-a, m/q) (w + (-1)^(a+1) conj w), that is 2 Re w for odd a and
+    2i Im w for even a.  One Lerch value serves each pair (the term
+    m = q/2 of an even q stands alone, where w is real and zeta(-a, 1/2)
+    vanishes for even a), and C is exactly real for odd a and exactly
+    imaginary for even a.  The pair's error, 2 |zeta| err w + |2 Re w| err
+    zeta (Im w for even a), is at most what the two terms carry apart.
     """
     if a < 0 or k < 0:
         raise DomainError("cotangent_sum_C needs nonnegative integer orders")
@@ -177,11 +187,14 @@ def cotangent_sum_C(a: int, k: int, x: RationalArg,
     cfg = cfg or DEFAULT_PRECISION
     with mp.workdps(cfg.working_digits + 10):
         total = ComplexVal(0, 0)
-        for m in range(1, q):
+        for m in range(1, q // 2 + 1):
             lam = _e_twist(m * x.p, q)
-            phi = specfn.lerch_phi(-k, 1, lam, cfg)
+            w = specfn.lerch_phi(-k, 1, lam, cfg).scaled(lam)
             zeta = ComplexVal.from_exact(exact.zeta_neg_int(a, Fraction(m, q)), cfg)
-            total = total + phi * zeta.scaled(lam)
+            # (w + (-1)^(a+1) conj w) / 2, counted twice unless m = q - m.
+            half = mp.mpc(w.re) if a % 2 else mp.mpc(0, w.im)
+            weight = 1 if 2 * m == q else 2
+            total = total + ComplexVal(weight * half, weight * w.abs_err) * zeta
         return total.scaled(mp.mpf(q) ** a)
 
 

@@ -4,10 +4,10 @@ from math import gcd
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cotzeta import estermann, exact, sums
+from cotzeta import estermann, exact, specfn, sums
 from cotzeta.errors import DomainError, PoleError
 from cotzeta.estermann import (
     EstermannPoint,
@@ -301,6 +301,40 @@ def test_series_route_matches_mpmath_double_sum(pq, a, decay, t):
     assert abs(v.val - _double_sum_oracle(s, a, *pq)) <= v.abs_err
 
 
+# (s, a) with a >= 0 and decay s - a - 1 from 1 to 6: the fixed-point terms.
+# Decays 1 to 3 stop at SERIES_CFG's max_terms with their tail in abs_err.
+integer_series_points = st.tuples(st.integers(0, 4), st.integers(1, 6)).map(
+    lambda t: (t[0] + 1 + t[1], t[0]))
+
+
+@settings(max_examples=12)
+@given(twists, integer_series_points)
+@example((5, 11), (4, 1))
+@example((7, 24), (2, 0))
+def test_series_at_integer_points_matches_mpmath_double_sum(pq, sa):
+    s, a = sa
+    v = estermann_series(EstermannPoint(s, RationalArg(*pq), a), SERIES_CFG)
+    assert abs(v.val - _double_sum_oracle(s, a, *pq)) <= v.abs_err
+
+
+@settings(max_examples=15)
+@given(twists, st.integers(0, 4), st.integers(0, 4))
+def test_nonpositive_matches_mpmath_double_sum(pq, a, k):
+    # E(-k, x, a - k) = C(a, k, x) + q^a zeta(-k) zeta(-a): the double sum
+    # at s = -k, shift a - k has zeta factors zeta(-a, m/q) and zeta(-k, n/q).
+    v = estermann_nonpositive(k, RationalArg(*pq), a, CFG)
+    assert abs(v.val - _double_sum_oracle(-k, a - k, *pq)) <= v.abs_err
+
+
+@pytest.mark.parametrize("k, a, p, q", [(3, 0, 2, 7), (1, 2, 5, 12), (4, 3, 20, 53)])
+def test_nonpositive_holds_its_budget_above_60_digits(k, a, p, q):
+    # ComplexVal arithmetic must follow a working precision above 60 digits,
+    # or its rounding escapes a budget near 1e-75.
+    cfg = PrecisionConfig(70, 1e-65)
+    v = estermann_nonpositive(k, RationalArg(p, q), a, cfg)
+    assert abs(v.val - _double_sum_oracle(-k, a - k, p, q, dps=150)) <= v.abs_err
+
+
 @pytest.mark.parametrize("kernel", [estermann_series, estermann_hurwitz])
 @pytest.mark.parametrize("s, a, p, q", [
     (20, 1, 1, 3),
@@ -343,5 +377,57 @@ def test_hurwitz_budget_equals_complexval_chain(s, x, a):
     pt = EstermannPoint(s, x, a)
     new = estermann_hurwitz(pt, CFG)
     old = _chain_double_sum(pt, CFG)
+    assert abs(new.abs_err - old.abs_err) <= old.abs_err * mp.mpf("1e-20")
+    assert abs(new.val - old.val) <= new.abs_err
+
+
+def _termwise_series(pt, cfg):
+    """The Dirichlet series as one loop of mpc terms, each carrying its own
+    twist e(nx), with mpf sums for the tail: the reference for
+    estermann_series's class sums and budget."""
+    q, p = pt.x.q, pt.x.p
+    wp = cfg.working_digits + 10
+    with mp.workdps(wp):
+        sc, ac = mp.mpc(pt.s), mp.mpc(pt.a)
+        sigma, alpha = sc.real, ac.real
+        decay = sigma - alpha - 1
+        target = mp.mpf(cfg.target_abs_err) / 2
+        N = max(32, int(min(mp.mpf(cfg.max_terms),
+                            mp.ceil((4 / target) ** (1 / decay)) + 32)))
+        sig = [mp.mpc(0)] * (N + 1)
+        for d in range(1, N + 1):
+            for m in range(d, N + 1, d):
+                sig[m] += mp.mpc(d) ** ac
+        with mp.workdps(max(wp, 60)):
+            roots = mp.unitroots(q)
+        total, magsum, dsum_am1, dsum_a = mp.mpc(0), mp.mpf(0), mp.mpf(0), mp.mpf(0)
+        for n in range(1, N + 1):
+            nf = mp.mpf(n)
+            term = sig[n] * roots[n * p % q] * nf ** (-sc)
+            total += term
+            magsum += abs(term)
+            dsum_am1 += nf ** (alpha - 1)
+            dsum_a += nf ** alpha
+        zs = abs(specfn.riemann_zeta(sigma, cfg).val)
+        Nf = mp.mpf(N)
+        tail = (Nf ** (1 - sigma) / (sigma - 1) * dsum_am1
+                + Nf ** (-sigma) * dsum_a
+                + zs * (Nf ** (alpha - sigma + 1) / decay + Nf ** (alpha - sigma)))
+        return ComplexVal(total, tail + magsum * mp.mpf(10) ** (3 - wp))
+
+
+@pytest.mark.parametrize("s, x, a", [
+    (6, RationalArg(2, 7), 0),
+    (4, RationalArg(3, 11), 1),     # stops at max_terms
+    (3, RationalArg(5, 12), 0),     # stops at max_terms, harmonic tail sum
+    (7, RationalArg(20, 53), 3),
+    (3.5, RationalArg(4, 9), 0.5),
+    (4 + 1j, RationalArg(1, 5), 1),
+])
+def test_series_budget_equals_termwise_loop(s, x, a):
+    cfg = PrecisionConfig(30, 1e-9, 2_500)
+    pt = EstermannPoint(s, x, a)
+    new = estermann_series(pt, cfg)
+    old = _termwise_series(pt, cfg)
     assert abs(new.abs_err - old.abs_err) <= old.abs_err * mp.mpf("1e-20")
     assert abs(new.val - old.val) <= new.abs_err

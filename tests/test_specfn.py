@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotzeta import exact
-from cotzeta.errors import DomainError, PoleError
+from cotzeta.errors import DomainError, PoleError, PrecisionError
 from cotzeta import specfn
 from cotzeta.specfn import (
     ComplexVal,
@@ -379,6 +379,26 @@ class TestLerchPhi:
         with pytest.raises(DomainError):
             lerch_phi(0.5, 1, -1, CFG)
 
+    @pytest.mark.parametrize("q, cfg", [
+        (48, CFG), (50, CFG), (56, CFG), (100, CFG),
+        (50, PrecisionConfig(40, 1e-30)), (100, PrecisionConfig(60, 1e-50)),
+    ])
+    def test_twist_near_one(self, q, cfg):
+        # |1/(1 - e(1/q))| ~ q/(2 pi) needs a long direct sum before the
+        # summation-by-parts tail meets the target, and its powers amplify
+        # the rounding of the forward differences by up to 10^40 at the
+        # tighter targets.
+        with mp.workdps(90):
+            lam = mp.expjpi(mp.mpf(2) / q)
+            v = lerch_phi(2, 1, lam, cfg)
+            assert abs(v.val - mp.lerchphi(lam, 2, 1)) <= v.abs_err
+
+    def test_twist_near_one_refused_at_max_terms(self):
+        with mp.workdps(45):
+            lam = mp.expjpi(mp.mpf(2) / 100)
+        with pytest.raises(PrecisionError, match="max_terms"):
+            lerch_phi(2, 1, lam, PrecisionConfig(30, 1e-12, max_terms=150))
+
 
 class TestErrorHonesty:
     """Tightening the target must not move any result by more than the
@@ -447,6 +467,18 @@ class TestEisenstein:
     def test_rejects_lower_half_plane(self):
         with pytest.raises(DomainError):
             eisenstein_E(-3, mp.mpc(0, -1), None, CFG)
+
+    def test_integer_order_sieve(self):
+        # a = 3: the divisor sieve yields exact ints, and
+        # E_4(z) = 1 + 240 sum sigma_3(n) e(nz).
+        with mp.workdps(40):
+            z = mp.mpc("0.3", "0.9")
+            v = eisenstein_E(3, z, None, CFG)
+            qn = mp.exp(2j * mp.pi * z)
+            ref = 1 + 240 * mp.fsum(
+                sum(d ** 3 for d in range(1, n + 1) if n % d == 0) * qn ** n
+                for n in range(1, 80))
+            assert abs(v.val - ref) <= v.abs_err
 
     def test_rejects_vanishing_normalizer(self):
         # zeta(-a) = 0 at the trivial zeros, i.e. positive even a
