@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd
+from math import factorial, gcd, log10
 
 import mpmath as mp
 
@@ -245,21 +245,32 @@ def _auto_epsilon(quad: QuadratureConfig, ks) -> mp.mpf:
     return bound / 2
 
 
-_I = mp.mpc(0, 1)
+def _cot_line(eps, ks):
+    """u -> [cot(pi k (eps + iu)) for k in ks], u >= 0, in real arithmetic.
 
-
-def _cot_multiples(z, ks):
-    """cot(pi k z) for each k in ks, Im z > 0, from one mpmath.cot: with
-    c = cot(pi z), q = e^(2 pi i z) = (c + i)/(c - i) and
-    cot(pi k z) = i (q^k + 1)/(q^k - 1) = i + 2i/(q^k - 1).
-
-    |q| < 1, so the rounding error of each value stays absolute, a small
-    multiple of the working precision, while q^k keeps away from 1 as long as
-    k Re(z) is not an integer (on the lines here 0 < k eps < 1).
+    On the line q^k = e^(2 pi i k z) = rho e^(i phi_k), rho = e^(-2 pi k u), and
+    the phase phi_k = 2 pi k eps is fixed: one real mpmath.cot per line,
+    c = cot(pi eps), gives e^(i phi_1) = (c + i)/(c - i), and each node takes
+    one real exponential.  With A = rho cos phi_k - 1, B = rho sin phi_k and
+    D = A^2 + B^2 = |q^k - 1|^2, cot(pi k z) = i (q^k + 1)/(q^k - 1) =
+    2B/D + i(1 + 2A/D).  rho <= 1 keeps the rounding absolute (working
+    precision times the conditioning 1 + |cot|^2); 0 < k eps < 1 keeps D > 0.
     """
-    c = mp.cot(mp.pi * z)
-    q = (c + _I) / (c - _I)
-    return [c if k == 1 else _I + 2 * _I / (q ** k - 1) for k in ks]
+    c = mp.cot(mp.pi * eps)
+    phases = [(p.real, p.imag) for p in (((c + 1j) / (c - 1j)) ** k for k in ks)]
+    rate = -2 * mp.pi
+
+    def cots(u):
+        r = mp.exp(rate * u)
+        out = []
+        for k, (cos_k, sin_k) in zip(ks, phases):
+            rho = r ** k
+            A, B = rho * cos_k - 1, rho * sin_k
+            two_over_d = 2 / (A * A + B * B)
+            out.append(mp.mpc(B * two_over_d, 1 + A * two_over_d))
+        return out
+
+    return cots
 
 
 def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = None,
@@ -275,10 +286,10 @@ def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = 
     The line is folded at t = 0 (see _integrate_line).  eps is real, the
     cot-derivative polynomials have integer coefficients and the subtracted
     constants are conjugates, so the cot product at eps - it, less its
-    constant, is the conjugate of the one at eps + it: it is computed once
-    per node pair, from one mpmath.cot (see _cot_multiples).  Only
-    conj(z)^(-s) is evaluated again, and at a real exponent not even that:
-    the lower half's integrand is then the conjugate of the upper one's.
+    constant, is the conjugate of the one at eps + it: it is computed once per
+    node pair (see _cot_line).  A real s is passed to z^(-s) as an int or an
+    mpf, and the lower half is the conjugate of the upper one; only a complex
+    s evaluates conj(z)^(-s) again.
     """
     cfg = cfg or DEFAULT_PRECISION
     quad = quad or DEFAULT_QUAD
@@ -294,8 +305,7 @@ def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = 
         eps = _auto_epsilon(quad, ks)
         d = len(ks)
         pure_cot = all(m == 0 for m in ms)
-        m_min = min(ks)
-        rate = 2 * mp.pi * m_min
+        rate = 2 * mp.pi * min(ks)
         target = mp.mpf(quad.target_abs_err)
 
         # Truncation height: make the analytic tail bound comfortably small.
@@ -303,24 +313,24 @@ def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = 
         # achieved error scales with it.
         T = max(mp.mpf(1), mp.log(60 * d / target) / rate + mp.mpf(1) / 2)
 
-        ctop = (-1j) ** d if pure_cot else mp.mpc(0)
-        cbot = (1j) ** d if pure_cot else mp.mpc(0)
+        ctop, cbot = ((-1j) ** d, (1j) ** d) if pure_cot else (0, 0)
         polys = [specfn.cot_deriv_poly(m) for m in ms]
-        real_exponent = s.imag == 0
+        power = specfn._power_exponent(-s)
+        cots = _cot_line(eps, ks)
 
         def pair(u):
             z = mp.mpc(eps, u)
             prod = 1
-            for m, poly, c in zip(ms, polys, _cot_multiples(z, ks)):
+            for m, poly, c in zip(ms, polys, cots(u)):
                 prod *= poly(c) if m else c
             # The subtracted constant differs between the half-lines when d
             # is odd: ctop above, cbot = conj(ctop) below.
             prod -= ctop
-            if real_exponent:
-                upper = prod * z ** (-s)
+            if not isinstance(power, mp.mpc):
+                upper = prod * z ** power
                 return upper, mp.conj(upper)
             log_z = mp.log(z)
-            return prod * mp.exp(-s * log_z), mp.conj(prod) * mp.exp(-s * mp.conj(log_z))
+            return prod * mp.exp(power * log_z), mp.conj(prod) * mp.exp(power * mp.conj(log_z))
 
         val, qerr = _integrate_line(pair, eps, T, target)
         result = -1j * val
@@ -735,8 +745,7 @@ def g_a_numeric(a, z, M: int | None = None, quad: QuadratureConfig | None = None
         bern_err = mp.mpf(0)
         for n in range(1, M + 1):
             zv = specfn.riemann_zeta(1 - 2 * n - ac, cfg)
-            t = ((-1) ** n * specfn._bern_mpf(2 * n) / mp.factorial(2 * n)
-                 * (2 * mp.pi * zc) ** (2 * n - 1))
+            t = (-1) ** n * specfn._bern_over_fact(n) * (2 * mp.pi * zc) ** (2 * n - 1)
             bern += 2 * t * zv.val
             bern_err += 2 * abs(t) * zv.abs_err
 
@@ -749,10 +758,9 @@ def g_a_numeric(a, z, M: int | None = None, quad: QuadratureConfig | None = None
         else:
             # Node values must be much tighter than the quadrature target so
             # their unpropagated errors stay below the panel estimate.
-            import math
             node_target = min(cfg.target_abs_err, quad.target_abs_err) / 1e3
             eval_cfg = PrecisionConfig(
-                max(cfg.working_digits, int(-math.log10(node_target)) + 6),
+                max(cfg.working_digits, int(-log10(node_target)) + 6),
                 node_target, cfg.max_terms)
 
             def integrand(t):

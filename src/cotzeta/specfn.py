@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 
 import mpmath as mp
 
@@ -180,8 +181,15 @@ class ComplexVal:
             return f"ComplexVal({mp.nstr(self.val, 12)}, abs_err={mp.nstr(self.abs_err, 3)})"
 
 
-def _bern_mpf(n: int) -> mp.mpf:
-    return _real_mpf(exact.bernoulli_number(n))
+_bern_tables: dict = {}
+
+
+def _bern_over_fact(r: int) -> mp.mpf:
+    """B_2r/(2r)! at the current precision, from one table per binary precision."""
+    table = _bern_tables.setdefault(mp.mp.prec, [None])
+    for j in range(len(table), r + 1):
+        table.append(_real_mpf(exact.bernoulli_number(2 * j)) / factorial(2 * j))
+    return table[r]
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +227,9 @@ def hurwitz_zeta(s, x, cfg: PrecisionConfig | None = None) -> ComplexVal:
         wp = (cfg.working_digits + 15
               + int((max(0, float(-sigma)) + 1) * mp.log10(N + 2)))
         with mp.workdps(wp):
-            sc_w = mp.mpc(s)
+            sc_w = _power_exponent(s)  # an int or an mpf at a real order
             w = mp.mpf(N) + xr
-            direct = mp.mpc(0)
+            direct = mp.mpf(0)
             magsum = mp.mpf(0)
             for j in range(N):
                 t = (j + xr) ** (-sc_w)
@@ -231,25 +239,22 @@ def hurwitz_zeta(s, x, cfg: PrecisionConfig | None = None) -> ComplexVal:
             magsum += abs(tail)
             total = direct + tail
             bound = None
-            r = 0
             prev_mag = mp.inf
             grew = 0
             wpow = w ** (-sc_w - 1)  # w^(-s-2r+1) at r=1
             w2 = w * w
-            while True:
-                r += 1
-                term = (_bern_mpf(2 * r) / mp.factorial(2 * r)
-                        * exact.rising_factorial(sc_w, 2 * r - 1) * wpow)
+            rising = sc_w  # (s)_(2r-1) at r=1
+            for r in range(1, 4 * wp + 2):
+                term = _bern_over_fact(r) * rising * wpow
+                tm = abs(term)
                 total += term
-                magsum += abs(term)
+                magsum += tm
+                rising *= (sc_w + 2 * r - 1) * (sc_w + 2 * r)
                 if sigma + 2 * r + 1 > 0:
-                    nxt = (abs(_bern_mpf(2 * r + 2)) / mp.factorial(2 * r + 2)
-                           * abs(exact.rising_factorial(sc_w, 2 * r + 1))
-                           * abs(w) ** (-sigma - 2 * r - 1))
-                    bound = nxt * abs(sc_w + 2 * r + 1) / (sigma + 2 * r + 1)
+                    bound = (abs(_bern_over_fact(r + 1) * rising * (sc_w + 2 * r + 1))
+                             * w ** (-sigma - 2 * r - 1) / (sigma + 2 * r + 1))
                     if bound <= target:
                         break
-                tm = abs(term)
                 if tm > prev_mag:
                     grew += 1
                     if grew >= 2:
@@ -257,8 +262,6 @@ def hurwitz_zeta(s, x, cfg: PrecisionConfig | None = None) -> ComplexVal:
                 else:
                     grew = 0
                 prev_mag = tm
-                if r > 4 * wp:
-                    break
                 wpow /= w2
             if bound is not None and bound <= target:
                 rounding = magsum * mp.mpf(10) ** (-wp + 3)
@@ -311,9 +314,9 @@ def _log_gamma_stirling(w, wp: int, target):
     bound = mp.inf
     while True:
         r += 1
-        term = _bern_mpf(2 * r) / ((2 * r) * (2 * r - 1)) * wpow
+        term = _bern_over_fact(r) * factorial(2 * r - 2) * wpow
         acc += term
-        nxt = abs(_bern_mpf(2 * r + 2)) / ((2 * r + 2) * (2 * r + 1)) * abs(wpow * w2inv)
+        nxt = abs(_bern_over_fact(r + 1)) * factorial(2 * r) * abs(wpow * w2inv)
         bound = nxt * secfac ** (2 * r + 2)
         if bound <= target or r > 2 * wp:
             break
@@ -450,7 +453,6 @@ def apostol_bernoulli(k: int, z, lam, cfg: PrecisionConfig | None = None) -> Com
             raise DomainError("apostol_bernoulli needs lambda != 1; "
                               "use the classical Bernoulli polynomial for lambda = 1")
         zc = mp.mpc(z)
-        from math import comb
         B = [mp.mpc(0)]
         maxmag = mp.mpf(0)
         for N in range(1, k + 1):
@@ -537,8 +539,12 @@ def lerch_phi(s, z, lam, cfg: PrecisionConfig | None = None) -> ComplexVal:
         sc = mp.mpc(s)
         zc = mp.mpc(z)
         lamc = mp.mpc(lam)
-        if abs(abs(lamc) - 1) > mp.mpf(10) ** (-cfg.working_digits + 4):
-            raise DomainError("lerch_phi supports |lambda| = 1 only")
+        if abs(abs(lamc) - 1) > mp.mpf(10) ** (4 - cfg.working_digits):
+            raise DomainError(
+                f"lerch_phi supports |lambda| = 1 only: |lambda| - 1 = "
+                f"{mp.nstr(abs(lamc) - 1, 3)}, tolerance 10^(4 - {cfg.working_digits}); pass the "
+                "twist at working_digits + 10 digits, or use the RationalArg routes "
+                "(cotangent_sum_C, estermann_*)")
         if lamc == 1:
             return hurwitz_zeta(sc, zc, cfg)
         if sc.imag == 0 and mp.isint(sc.real) and sc.real <= 0:

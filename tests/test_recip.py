@@ -197,6 +197,35 @@ def test_line_integral_within_its_abs_err(case, target):
     assert abs(v.val - _line_oracle(s, ks, ms)) <= v.abs_err
 
 
+@settings(max_examples=40)
+@given(k=st.integers(1, 7),
+       frac=st.floats(0, 1, exclude_min=True, exclude_max=True),
+       t=st.floats(0, 12))
+def test_line_cot_values_match_mpmath(k, frac, t):
+    # Each value from the real exponential of its node lies within
+    # 10^-47 (1 + |cot|^2) of mp.cot at 50 digits: 1 + |cot|^2 is the
+    # conditioning of cot, and eps = frac/k is itself rounded at 50 digits.
+    with mp.workdps(50):
+        eps = mp.mpf(frac) / k
+        (value,) = recip._cot_line(eps, (k,))(mp.mpf(t))
+        with mp.workdps(80):
+            ref = mp.cot(mp.pi * k * mp.mpc(eps, t))
+            assert abs(value - ref) <= mp.mpf(10) ** -47 * (1 + abs(ref) ** 2)
+
+
+@pytest.mark.parametrize("n,ks,ms", [
+    (2, (1, 2), (0, 1)),
+    (3, (2, 3), (1, 0)),
+    (4, (3,), (2,)),
+    (4, (1, 2, 3), (0, 0, 1)),
+    (5, (2, 5), (1, 2)),
+])
+def test_integer_exponent_within_its_abs_err(n, ks, ms):
+    # An integer exponent raises z to a Python int power.
+    v = cot_product_line_integral(n, ks, ms, QUAD, CFG)
+    assert abs(v.val - _line_oracle(n, ks, ms)) <= v.abs_err
+
+
 class TestLaurentCoefficients:
     def test_principal_part_order_zero(self):
         assert laurent_coeff_cot(-1, 5, 0) == ExactScaled(Fraction(1, 5), -1, 0)
@@ -300,7 +329,7 @@ class TestLineIntegral:
 
     def test_matches_closed_form(self):
         with mp.workdps(40):
-            for n, h, k in [(3, 1, 2), (5, 2, 3)]:
+            for n, h, k in [(3, 1, 2), (5, 2, 3), (3, 3, 4), (5, 1, 6), (7, 2, 5)]:
                 v = line_integral_cotcot(n, h, k, QUAD, CFG)
                 ref = closed_form_integral(n, h, k).numeric(40)
                 assert abs(v.val - ref) <= v.abs_err, (n, h, k)
@@ -357,13 +386,33 @@ class TestHalfLine:
         return value, len(calls)
 
     def test_complex_exponent_shares_cot_evaluations(self, monkeypatch):
-        # One mpmath.cot per node pair, whatever the exponent: the lower
-        # half-line reuses the conjugate of the upper half's cot product.
-        def line(s):
-            return lambda: cot_product_line_integral(s, (3, 4), (1, 0), self.QUAD_8, CFG)
-        real, n_real = self._count_calls(monkeypatch, mp, "cot", line(3.5))
-        cplx, n_cplx = self._count_calls(monkeypatch, mp, "cot", line(3.5 + 1e-40j))
-        assert 0 < n_real == n_cplx
+        # One real exponential per node pair, whatever the exponent: the lower
+        # half-line reuses the conjugate of the upper half's cot product.  The
+        # node pairs are counted through _integrate_line, plus the sampled
+        # tail's one pair at T.
+        original_exp, original_line = mp.exp, recip._integrate_line
+        real_exps, pairs = [], []
+
+        def exp(x):
+            if isinstance(x, mp.mpf):
+                real_exps.append(1)
+            return original_exp(x)
+
+        def integrate_line(pair, *args):
+            def counted(u):
+                pairs.append(1)
+                return pair(u)
+            return original_line(counted, *args)
+
+        monkeypatch.setattr(mp, "exp", exp)
+        monkeypatch.setattr(recip, "_integrate_line", integrate_line)
+        values = []
+        for s in (3.5, 3.5 + 1e-40j):
+            real_exps.clear()
+            pairs.clear()
+            values.append(cot_product_line_integral(s, (3, 4), (1, 0), self.QUAD_8, CFG))
+            assert 0 < len(real_exps) == len(pairs) + 1
+        real, cplx = values
         assert abs(real.val - cplx.val) <= min(real.abs_err, cplx.abs_err)
 
     def test_real_order_halves_mellin_gamma_evaluations(self, monkeypatch):

@@ -156,6 +156,17 @@ class TestHurwitzZeta:
             partial = sum((j + xr) ** (-s) for j in range(J))
             assert abs(a.val - partial - b.val) <= a.abs_err + b.abs_err + mp.mpf("1e-25")
 
+    @settings(max_examples=20)
+    @given(st.floats(-10, 8).filter(lambda s: abs(s - 1) > 0.05),
+           st.fractions(Fraction(1, 50), 1), st.booleans())
+    def test_real_order_against_mpmath(self, s, x, integer):
+        # Real orders run in mpf, integer ones in Python int powers.
+        s = round(s) if integer and round(s) != 1 else s
+        xr = mp.mpf(x.numerator) / x.denominator
+        v = hurwitz_zeta(s, xr, CFG)
+        with mp.workdps(60):
+            assert abs(v.val - mp.zeta(s, xr)) <= v.abs_err
+
     def test_error_honesty_two_targets(self):
         coarse = PrecisionConfig(30, 1e-10)
         fine = PrecisionConfig(30, 1e-14)
@@ -391,6 +402,26 @@ class TestLerchPhi:
         with mp.workdps(90):
             lam = mp.expjpi(mp.mpf(2) / q)
             v = lerch_phi(2, 1, lam, cfg)
+            assert abs(v.val - mp.lerchphi(lam, 2, 1)) <= v.abs_err
+
+    def test_float_twist_refusal_names_its_remedy(self):
+        with mp.workdps(30):
+            lam = complex(mp.expjpi(mp.mpf(2) / 50))
+        with pytest.raises(DomainError) as info:
+            lerch_phi(2, 1, lam, CFG)
+        message = str(info.value)
+        assert "|lambda| - 1 = " in message and "10^(4 - 30)" in message
+        assert "working_digits + 10 digits" in message and "RationalArg" in message
+
+    @pytest.mark.parametrize("twist", [
+        lambda: -1, lambda: 1j, lambda: mp.mpc(-1, 1) / mp.sqrt(2),
+        lambda: mp.expjpi(mp.mpf(6) / 7), lambda: mp.expjpi(mp.mpf(2) / 50),
+    ])
+    def test_unit_twists_accepted(self, twist):
+        # Twists rounded at working_digits + 10 digits, as the refusal advises.
+        with mp.workdps(40):
+            lam = twist()
+            v = lerch_phi(2, 1, lam, CFG)
             assert abs(v.val - mp.lerchphi(lam, 2, 1)) <= v.abs_err
 
     def test_twist_near_one_refused_at_max_terms(self):
