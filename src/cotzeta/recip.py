@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial, gcd, log10
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 from . import exact, specfn, sums
 from .errors import AbscissaShiftError, DomainError
@@ -245,32 +246,95 @@ def _auto_epsilon(quad: QuadratureConfig, ks) -> mp.mpf:
     return bound / 2
 
 
-def _cot_line(eps, ks):
-    """u -> [cot(pi k (eps + iu)) for k in ks], u >= 0, in real arithmetic.
+def _fixed(x, bits: int) -> int:
+    """int(mp.ldexp(x, bits)) for an mpf x, read off its mantissa."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * (man << exp + bits if exp + bits >= 0 else man >> -exp - bits)
 
-    On the line q^k = e^(2 pi i k z) = rho e^(i phi_k), rho = e^(-2 pi k u), and
-    the phase phi_k = 2 pi k eps is fixed: one real mpmath.cot per line,
-    c = cot(pi eps), gives e^(i phi_1) = (c + i)/(c - i), and each node takes
-    one real exponential.  With A = rho cos phi_k - 1, B = rho sin phi_k and
-    D = A^2 + B^2 = |q^k - 1|^2, cot(pi k z) = i (q^k + 1)/(q^k - 1) =
-    2B/D + i(1 + 2A/D).  rho <= 1 keeps the rounding absolute (working
-    precision times the conditioning 1 + |cot|^2); 0 < k eps < 1 keeps D > 0.
+
+def _cot_line(eps, ks, ms, s):
+    """(P, factors): factors(u), u >= 0, yields P_m(cot(pi k (eps + iu))),
+    P_m = cot_deriv_poly(m), for (k, m) in zip(ks, ms) as ints (x, y) that
+    stand for (x + iy) 2^-P.
+
+    On the line q^k = e^(2 pi i k z) = r^k e^(i phi_k): r = e^(-2 pi u) is one
+    real exponential per node, e^(i phi_1) = (c + i)/(c - i) with
+    c = cot(pi eps) one real mpmath.cot per line.  With A = r^k cos phi_k - 1,
+    B = r^k sin phi_k, D = A^2 + B^2, cot(pi k z) = 2B/D + i(1 + 2A/D); P_m by Horner.
+
+    Each integer step rounds by one unit 2^-P.  As r <= 1 and 0 < k eps < 1,
+    D >= D0 = min_k (1 - max(cos phi_k, 0)^2) > 0, |cot| <= C = 1 + 2/sqrt(D0)
+    and |P_m(cot)| <= M_m, P_m's |coefficients| at C.  To first order the
+    product of the factors is off by M_1..M_d D0^(-3/2) sum_j (m_j + 1)
+    (10 k_j + 37) units; z^(-s) scales that by eps^(-Re s) e^(pi |Im s|/2) at
+    most and, at an integer s = n (n powers of 1/z = conj(z)/|z|^2), adds
+    6n eps^(-n-2) M_1..M_d.  P = prec + 4 + log2 of that bound keeps the
+    integer rounding of a node value below 2^-(prec + 4).
     """
     c = mp.cot(mp.pi * eps)
     phases = [(p.real, p.imag) for p in (((c + 1j) / (c - 1j)) ** k for k in ks)]
+    d0 = min(sin_k ** 2 if cos_k > 0 else 1 for cos_k, sin_k in phases)
+    big = 1 + 2 / mp.sqrt(d0)
+    span = ((sum((m + 1) * (10 * k + 37) for k, m in zip(ks, ms)) + 6 * abs(s))
+            * eps ** (-s.real - 2) * mp.e ** (abs(s.imag) * mp.pi / 2) / d0 ** 1.5)
+    for m in ms:
+        span *= sum(abs(a) * big ** i for i, a in enumerate(specfn._cot_poly_coeffs(m)))
+    bits = mp.mp.prec + 5 + int(mp.log(span, 2))
+    one = 1 << bits
+    trig = [(_fixed(cos_k, bits), _fixed(sin_k, bits)) for cos_k, sin_k in phases]
+    polys = [(p[-1], [a << bits for a in p[-2::-1]]) for p in map(specfn._cot_poly_coeffs, ms)]
     rate = -2 * mp.pi
 
-    def cots(u):
-        r = mp.exp(rate * u)
-        out = []
-        for k, (cos_k, sin_k) in zip(ks, phases):
-            rho = r ** k
-            A, B = rho * cos_k - 1, rho * sin_k
-            two_over_d = 2 / (A * A + B * B)
-            out.append(mp.mpc(B * two_over_d, 1 + A * two_over_d))
-        return out
+    def factors(u):
+        r = _fixed(mp.exp(rate * u), bits)
+        for k, (cos_k, sin_k), (top, low) in zip(ks, trig, polys):
+            rho = r ** k >> ((k - 1) * bits)
+            A, B = (rho * cos_k >> bits) - one, rho * sin_k >> bits
+            D = (A * A + B * B) >> bits
+            x, y = (B << (bits + 1)) // D, one + (A << (bits + 1)) // D
+            px, py = top * x + low[0], top * y
+            for a in low[1:]:
+                px, py = ((px * x - py * y) >> bits) + a, (px * y + py * x) >> bits
+            yield px, py
 
-    return cots
+    return bits, factors
+
+
+def _line_integrand(s, eps, ks, ms):
+    """pair(u) = (f(u), f(-u)), f(t) = (prod_j cot^(m_j)(pi k_j z) - c) z^(-s)
+    on z = eps + it, c = (-+i)^d if every m_j is 0, else 0.  The product less c
+    at eps - iu is the conjugate of the one at eps + iu, so it is formed once
+    per pair, in _cot_line's fixed point (with z^(-n) at an integer s), and
+    becomes an mpc once; only a complex s evaluates conj(z)^(-s) again.
+    """
+    bits, factors = _cot_line(eps, ks, ms, s)
+    one = 1 << bits
+    ctop = (0, 0) if any(ms) else [(one, 0), (0, -one), (-one, 0), (0, one)][len(ks) % 4]
+    power = specfn._power_exponent(-s)
+    e_fix = _fixed(eps, bits)
+
+    def pair(u):
+        x, y = one, 0
+        for fx, fy in factors(u):
+            x, y = (x * fx - y * fy) >> bits, (x * fy + y * fx) >> bits
+        x, y = x - ctop[0], y - ctop[1]
+        if isinstance(power, int):
+            u_fix = _fixed(u, bits)
+            norm = (e_fix * e_fix + u_fix * u_fix) >> bits
+            wx, wy = (e_fix << bits) // norm, -((u_fix << bits) // norm)
+            for _ in range(-power):
+                x, y = (x * wx - y * wy) >> bits, (x * wy + y * wx) >> bits
+        upper = mp.make_mpc((from_man_exp(x, -bits, mp.mp.prec, "n"),
+                             from_man_exp(y, -bits, mp.mp.prec, "n")))
+        if isinstance(power, mp.mpc):
+            log_z = mp.log(mp.mpc(eps, u))
+            return (upper * mp.exp(power * log_z),
+                    mp.conj(upper) * mp.exp(power * mp.conj(log_z)))
+        if not isinstance(power, int):
+            upper *= mp.mpc(eps, u) ** power
+        return upper, mp.conj(upper)
+
+    return pair
 
 
 def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = None,
@@ -283,13 +347,11 @@ def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = 
     (c_top - c_bot) eps^(1-s)/(1-s) is added back (zero when d is even).
     Products containing any derivative factor decay exponentially on their own.
 
-    The line is folded at t = 0 (see _integrate_line).  eps is real, the
-    cot-derivative polynomials have integer coefficients and the subtracted
-    constants are conjugates, so the cot product at eps - it, less its
-    constant, is the conjugate of the one at eps + it: it is computed once per
-    node pair (see _cot_line).  A real s is passed to z^(-s) as an int or an
-    mpf, and the lower half is the conjugate of the upper one; only a complex
-    s evaluates conj(z)^(-s) again.
+    The line is folded at t = 0 (see _integrate_line), one _line_integrand
+    call per node pair in the fixed point of _cot_line.  Its rounding, below
+    2^-(prec + 4) ~ 10^-(working_digits + 11) per node and 2T times that over
+    the line, is no more than the mpf kernel's and far below the quadrature
+    and tail terms, so abs_err has no rounding term.
     """
     cfg = cfg or DEFAULT_PRECISION
     quad = quad or DEFAULT_QUAD
@@ -313,30 +375,11 @@ def cot_product_line_integral(exponent, ks, ms, quad: QuadratureConfig | None = 
         # achieved error scales with it.
         T = max(mp.mpf(1), mp.log(60 * d / target) / rate + mp.mpf(1) / 2)
 
-        ctop, cbot = ((-1j) ** d, (1j) ** d) if pure_cot else (0, 0)
-        polys = [specfn.cot_deriv_poly(m) for m in ms]
-        power = specfn._power_exponent(-s)
-        cots = _cot_line(eps, ks)
-
-        def pair(u):
-            z = mp.mpc(eps, u)
-            prod = 1
-            for m, poly, c in zip(ms, polys, cots(u)):
-                prod *= poly(c) if m else c
-            # The subtracted constant differs between the half-lines when d
-            # is odd: ctop above, cbot = conj(ctop) below.
-            prod -= ctop
-            if not isinstance(power, mp.mpc):
-                upper = prod * z ** power
-                return upper, mp.conj(upper)
-            log_z = mp.log(z)
-            return prod * mp.exp(power * log_z), mp.conj(prod) * mp.exp(power * mp.conj(log_z))
-
+        pair = _line_integrand(s, eps, ks, ms)
         val, qerr = _integrate_line(pair, eps, T, target)
         result = -1j * val
         if pure_cot:
-            comp = (ctop - cbot) * eps ** (1 - s) / (1 - s)
-            result += comp
+            result += ((-1j) ** d - (1j) ** d) * eps ** (1 - s) / (1 - s)
             # Tail: each |cot -+ i| <= 2 e^(-2 pi k t) / (1 - e^(-2 pi k T)),
             # and |z^(-s)| <= |z|^(-Re s) e^(|Im s| pi/2) since |arg z| < pi/2.
             damp = 1 - mp.exp(-rate * T)
@@ -544,10 +587,8 @@ def _multi_factor_args(ks, ms):
         raise DomainError("need derivative orders (m0, m1..md)")
     if any(m < 0 for m in ms):
         raise DomainError("derivative orders must be nonnegative")
-    for i in range(len(ks)):
-        for j in range(i + 1, len(ks)):
-            if gcd(ks[i], ks[j]) != 1:
-                raise DomainError(f"moduli must be pairwise coprime, got {ks}")
+    if any(gcd(a, b) != 1 for a, b in combinations(ks, 2)):
+        raise DomainError(f"moduli must be pairwise coprime, got {ks}")
     return ks, ms
 
 
@@ -782,8 +823,7 @@ def g_a_numeric(a, z, M: int | None = None, quad: QuadratureConfig | None = None
             tail = 3 * sum(map(abs, pair(T))) * 2 / mp.pi
             integral = ComplexVal(upward / (mp.pi * 1j), (qerr + tail) / mp.pi)
 
-        total = ComplexVal(bern, bern_err) + integral
-        return total
+        return ComplexVal(bern, bern_err) + integral
 
 
 def psi_a_numeric(a, z, M: int | None = None, quad: QuadratureConfig | None = None,

@@ -412,21 +412,21 @@ def cot_derivative(m: int, w, cfg: PrecisionConfig | None = None) -> ComplexVal:
     """m-th derivative of cot with respect to its own argument, at w.
 
     Chain-rule factors for arguments like pi*k*z are the caller's business.
-    Poles at integer multiples of pi.
+    Poles at integer multiples of pi.  A real w is kept real.
     """
     if m < 0:
         raise DomainError("derivative order must be nonnegative")
     cfg = cfg or DEFAULT_PRECISION
     wp = cfg.working_digits + 10
     with mp.workdps(wp):
-        wc = mp.mpc(w)
+        wc = mp.mpmathify(w)
         ratio = wc / mp.pi
         if ratio.imag == 0 and abs(ratio.real - mp.nint(ratio.real)) < mp.mpf(10) ** (-wp + 5):
             raise PoleError("cot derivative evaluated at a pole (integer multiple of pi)")
         c = mp.cot(wc)
         poly = cot_deriv_poly(m)
         val = poly(c)
-        condition = sum(abs(coeff) * abs(c) ** j for j, coeff in enumerate(poly.coefficients))
+        condition = CotDerivPolynomial(m + 1, tuple(map(abs, poly.coefficients)))(abs(c))
         err = (condition * (m + 2) + abs(val)) * mp.mpf(10) ** (-wp + 3)
         return ComplexVal(val, err)
 

@@ -152,26 +152,37 @@ class TestPanelRule:
             assert _moment_error(nodes, k_weights, first_even_above) > mp.mpf(10) ** -30
 
 
-def _line_oracle(s, ks, ms):
-    """The downward line integral over Re z = 1/(2 max k) from mp.cot and
-    mp.quad alone, at 50 digits: the constant (-+i)^d that a pure cot product
-    tends to is subtracted on each half-line and its integral added back."""
-    with mp.workdps(50):
+def _mp_cot_product(z, ks, ms):
+    """prod_j cot^(m_j)(pi k_j z), m_j <= 2, from mp.cot alone."""
+    prod = 1
+    for k, m in zip(ks, ms):
+        c = mp.cot(mp.pi * k * z)
+        prod *= [c, -(1 + c * c), 2 * c * (1 + c * c)][m]
+    return prod
+
+
+def _line_oracle(s, ks, ms, dps=50, eps=None):
+    """The downward line integral over Re z = eps, 1/(2 max k) by default,
+    from mp.cot and mp.quad alone, at dps digits: the constant (-+i)^d that a
+    pure cot product tends to is subtracted on each half-line and its
+    integral added back.  A given eps adds breakpoints at 1, 10 and 100 eps."""
+    with mp.workdps(dps):
         s = mp.mpc(s)
-        eps = mp.mpf(1) / (2 * max(ks))
+        points = [0, 1, mp.inf]
+        if eps is None:
+            eps = mp.mpf(1) / (2 * max(ks))
+        else:
+            eps = mp.mpf(eps)
+            points[1:1] = [eps, 10 * eps, 100 * eps]
         d = len(ks)
         ctop, cbot = ((-1j) ** d, (1j) ** d) if not any(ms) else (0, 0)
 
         def f(t, const):
             z = mp.mpc(eps, t)
-            prod = 1
-            for k, m in zip(ks, ms):
-                c = mp.cot(mp.pi * k * z)
-                prod *= [c, -(1 + c * c), 2 * c * (1 + c * c)][m]
-            return (prod - const) * z ** (-s)
+            return (_mp_cot_product(z, ks, ms) - const) * z ** (-s)
 
-        val = (mp.quad(lambda t: f(t, cbot), [-mp.inf, -1, 0])
-               + mp.quad(lambda t: f(t, ctop), [0, 1, mp.inf]))
+        val = (mp.quad(lambda t: f(t, cbot), [-p for p in reversed(points)])
+               + mp.quad(lambda t: f(t, ctop), points))
         return -1j * val + (ctop - cbot) * eps ** (1 - s) / (1 - s)
 
 
@@ -202,15 +213,47 @@ def test_line_integral_within_its_abs_err(case, target):
        frac=st.floats(0, 1, exclude_min=True, exclude_max=True),
        t=st.floats(0, 12))
 def test_line_cot_values_match_mpmath(k, frac, t):
-    # Each value from the real exponential of its node lies within
-    # 10^-47 (1 + |cot|^2) of mp.cot at 50 digits: 1 + |cot|^2 is the
+    # Each fixed-point value from the real exponential of its node lies
+    # within 10^-47 (1 + |cot|^2) of mp.cot at 50 digits: 1 + |cot|^2 is the
     # conditioning of cot, and eps = frac/k is itself rounded at 50 digits.
     with mp.workdps(50):
         eps = mp.mpf(frac) / k
-        (value,) = recip._cot_line(eps, (k,))(mp.mpf(t))
+        bits, factors = recip._cot_line(eps, (k,), (0,), mp.mpc(2))
+        ((x, y),) = factors(mp.mpf(t))
+        value = mp.mpc(mp.ldexp(x, -bits), mp.ldexp(y, -bits))
         with mp.workdps(80):
             ref = mp.cot(mp.pi * k * mp.mpc(eps, t))
             assert abs(value - ref) <= mp.mpf(10) ** -47 * (1 + abs(ref) ** 2)
+
+
+@st.composite
+def _node_cases(draw):
+    ks = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+    ms = draw(st.lists(st.integers(0, 2), min_size=len(ks), max_size=len(ks)))
+    return tuple(ks), tuple(ms)
+
+
+@settings(max_examples=40)
+@given(case=_node_cases(), n=st.integers(2, 7), frac=st.floats(0.01, 0.99),
+       u=st.floats(0, 12))
+def test_node_pair_matches_mpmath(case, n, frac, u):
+    # The whole fixed-point node pair at 60 digits against the mpmath build
+    # at 90: within 10^-57 (1 + |z|^-n prod_j (1 + |cot_j|)^(m_j + 2)), the
+    # mpf kernel's working-precision rounding times the conditioning of
+    # cot^(m) and z^-n.  The integer rounding alone is below 2^-(prec + 4).
+    ks, ms = case
+    with mp.workdps(60):
+        eps = mp.mpf(frac) / max(ks)
+        upper, lower = recip._line_integrand(mp.mpc(n), eps, ks, ms)(mp.mpf(u))
+        with mp.workdps(90):
+            z = mp.mpc(eps, u)
+            const = 0 if any(ms) else (-1j) ** len(ks)
+            ref = (_mp_cot_product(z, ks, ms) - const) * z ** -n
+            scale = abs(z) ** -n
+            for k, m in zip(ks, ms):
+                scale *= (1 + abs(mp.cot(mp.pi * k * z))) ** (m + 2)
+            assert abs(upper - ref) <= mp.mpf(10) ** -57 * (1 + scale)
+        assert lower == mp.conj(upper)
 
 
 @pytest.mark.parametrize("n,ks,ms", [
@@ -224,6 +267,20 @@ def test_integer_exponent_within_its_abs_err(n, ks, ms):
     # An integer exponent raises z to a Python int power.
     v = cot_product_line_integral(n, ks, ms, QUAD, CFG)
     assert abs(v.val - _line_oracle(n, ks, ms)) <= v.abs_err
+
+
+def test_line_at_60_digits_within_its_abs_err():
+    # The fixed-point width follows the working precision.
+    v = cot_product_line_integral(4, (3,), (1,), QuadratureConfig(target_abs_err=1e-25),
+                                  PrecisionConfig(60, 1e-50))
+    assert abs(v.val - _line_oracle(4, (3,), (1,), dps=80)) <= v.abs_err
+
+
+def test_line_near_the_poles_within_its_abs_err():
+    # eps = 1e-3 puts the line 1e-3 from the pole of cot at 0: the widest
+    # dynamic range of the fixed point, |1/z|^2 up to 1e6.
+    v = cot_product_line_integral(2, (3,), (0,), QuadratureConfig(epsilon=1e-3), CFG)
+    assert abs(v.val - _line_oracle(2, (3,), (0,), eps=1e-3)) <= v.abs_err
 
 
 class TestLaurentCoefficients:

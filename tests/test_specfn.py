@@ -286,6 +286,19 @@ class TestCotDeriv:
                 v = cot_derivative(m, w, CFG)
                 assert abs(v.val - ref) < mp.mpf("1e-20")
 
+    @settings(max_examples=24)
+    @given(m=st.integers(0, 4), x=st.floats(0.02, 0.98),
+           y=st.one_of(st.just(0.0), st.floats(-2, 2)),
+           cfg=st.sampled_from([PrecisionConfig(30, 1e-12), PrecisionConfig(70, 1e-65)]))
+    def test_within_its_abs_err(self, m, x, y, cfg):
+        # w = pi x + iy; y = 0 takes the real path.  mp.diff at 40 more
+        # digits than the working precision is the reference.
+        with mp.workdps(cfg.working_digits + 10):
+            w = mp.pi * x + 1j * mp.mpf(y) if y else mp.pi * x
+            v = cot_derivative(m, w, cfg)
+        with mp.workdps(cfg.working_digits + 50):
+            assert abs(v.val - mp.diff(mp.cot, w, m)) <= v.abs_err
+
     def test_pole(self):
         with pytest.raises(PoleError):
             cot_derivative(0, 0, CFG)
